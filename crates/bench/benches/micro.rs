@@ -131,8 +131,8 @@ fn bench_batch(c: &mut Criterion) {
 
 /// Decoded-node cache effect on the kNN hot path: the same warm query
 /// stream with the cache off (decode per visit) and on (decode per page
-/// epoch). Wall-clock deltas are modest on small trees; the decode-count
-/// trajectory lives in the `pr4` bench target.
+/// epoch). Wall-clock deltas are modest on small trees; decode counts
+/// per query are reported by the repository benchmark in `perfbench/`.
 fn bench_decoded_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("decoded_cache");
     let dim = 16usize;

@@ -784,6 +784,29 @@ impl<S: Storage> HyExpand<'_, S> {
     }
 }
 
+impl<S: Storage> HybridTree<S> {
+    /// `(1 + epsilon)`-approximate k-nearest-neighbor search (the paper's
+    /// stated future work): every returned neighbor's distance is at most
+    /// `1 + epsilon` times the distance of the true neighbor of the same
+    /// rank. `epsilon == 0` is exact kNN; larger values prune more
+    /// aggressively and read fewer pages. A negative or NaN `epsilon` is
+    /// an [`IndexError::InvalidArgument`]. Runs the shared best-first
+    /// kernel ([`hyt_exec::run_knn`]) without limits.
+    pub fn knn_approximate(
+        &self,
+        q: &Point,
+        k: usize,
+        epsilon: f64,
+        metric: &dyn Metric,
+    ) -> IndexResult<Vec<(u64, f64)>> {
+        check_dim(self.dim, q.dim())?;
+        let expand = HyExpand { tree: self };
+        let (outcome, _) =
+            hyt_exec::run_knn(&expand, q, k, epsilon, metric, QueryContext::unlimited())?;
+        Ok(outcome.into_results())
+    }
+}
+
 impl<S: Storage> MultidimIndex for HybridTree<S> {
     fn name(&self) -> &'static str {
         "hybrid"
@@ -854,7 +877,7 @@ impl<S: Storage> MultidimIndex for HybridTree<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&HyExpand { tree: self }, q, k, metric, ctx)
+        hyt_exec::run_knn(&HyExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(
@@ -1360,5 +1383,115 @@ mod tests {
                 assert!((d - want[i].1).abs() < 1e-9);
             }
         }
+    }
+
+    fn approx_tree(n: usize, dim: usize, seed: u64) -> HybridTree {
+        build(&rand_points(n, dim, seed), small_cfg())
+    }
+
+    #[test]
+    fn approximate_with_zero_epsilon_is_exact() {
+        let t = approx_tree(600, 3, 3);
+        let q = Point::new(vec![0.7, 0.1, 0.5]);
+        let exact = t.knn(&q, 10, &L2).unwrap();
+        let approx = t.knn_approximate(&q, 10, 0.0, &L2).unwrap();
+        for (a, e) in approx.iter().zip(&exact) {
+            assert!((a.1 - e.1).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn approximate_respects_the_epsilon_guarantee() {
+        let t = approx_tree(800, 4, 4);
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..10 {
+            let q = Point::new((0..4).map(|_| rng.gen::<f32>()).collect());
+            let exact = t.knn(&q, 8, &L2).unwrap();
+            for eps in [0.1, 0.5, 2.0] {
+                let approx = t.knn_approximate(&q, 8, eps, &L2).unwrap();
+                assert_eq!(approx.len(), 8);
+                for (rank, (_, d)) in approx.iter().enumerate() {
+                    let bound = exact[rank].1 * (1.0 + eps) + 1e-9;
+                    assert!(
+                        *d <= bound,
+                        "eps={eps} rank={rank}: {d} > (1+eps)*{}",
+                        exact[rank].1
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn larger_epsilon_reads_fewer_pages() {
+        let t = approx_tree(3000, 6, 6);
+        let q = Point::new(vec![0.5; 6]);
+        let mut accesses = Vec::new();
+        for eps in [0.0, 0.5, 2.0] {
+            t.reset_io_stats();
+            t.knn_approximate(&q, 10, eps, &L2).unwrap();
+            accesses.push(t.io_stats().logical_reads);
+        }
+        assert!(
+            accesses[2] <= accesses[0],
+            "eps=2 must not read more pages than exact: {accesses:?}"
+        );
+    }
+
+    #[test]
+    fn approximate_rejects_negative_or_nan_epsilon() {
+        let t = approx_tree(200, 3, 9);
+        let q = Point::new(vec![0.5; 3]);
+        for eps in [-0.1, f64::NAN] {
+            match t.knn_approximate(&q, 5, eps, &L2) {
+                Err(IndexError::InvalidArgument(_)) => {}
+                other => panic!("epsilon {eps}: expected InvalidArgument, got {other:?}"),
+            }
+        }
+    }
+
+    /// Drains a kNN stream to the end, failing on a degraded or broken one.
+    fn drain(mut s: Box<dyn KnnStream + '_>) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        while let Some(hit) = s.next() {
+            out.push(hit);
+        }
+        assert_eq!(s.degrade_reason(), None);
+        assert!(s.take_error().is_none());
+        out
+    }
+
+    #[test]
+    fn knn_stream_drains_every_entry_in_distance_order() {
+        let t = approx_tree(500, 3, 1);
+        let q = Point::new(vec![0.4, 0.6, 0.5]);
+        let all = drain(t.knn_stream(&q, &L2, QueryContext::unlimited()).unwrap());
+        assert_eq!(all.len(), 500, "the stream must visit every entry");
+        assert!(
+            all.windows(2).all(|w| w[0].1 <= w[1].1),
+            "distances must be non-decreasing"
+        );
+    }
+
+    #[test]
+    fn knn_stream_on_empty_tree_yields_nothing() {
+        let t = HybridTree::new(2, HybridTreeConfig::default()).unwrap();
+        let q = Point::new(vec![0.5, 0.5]);
+        assert!(drain(t.knn_stream(&q, &L2, QueryContext::unlimited()).unwrap()).is_empty());
+    }
+
+    #[test]
+    fn knn_stream_pull_reads_a_fraction_of_the_pages() {
+        let t = approx_tree(3000, 4, 7);
+        let q = Point::new(vec![0.5; 4]);
+        let mut s = t.knn_stream(&q, &L2, QueryContext::unlimited()).unwrap();
+        let first: Vec<_> = (0..3).map_while(|_| s.next()).collect();
+        assert_eq!(first.len(), 3);
+        let pulled = s.io().logical_reads;
+        let total_pages = t.structure_stats().unwrap().total_nodes as u64;
+        assert!(
+            pulled < total_pages / 2,
+            "3-NN pull read {pulled} of {total_pages} pages"
+        );
     }
 }

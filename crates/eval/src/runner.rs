@@ -403,7 +403,7 @@ where
 // Batch runner: the same mixed workload executed serially or across a
 // worker pool. Queries only need `&dyn MultidimIndex`, so the workers
 // share one index (and one buffer pool) without any cloning; per-query
-// I/O comes from the `*_counted` trait methods and is therefore
+// I/O comes from the unlimited `*_ctx` trait methods and is therefore
 // identical however the batch is scheduled.
 // ---------------------------------------------------------------------
 
@@ -437,9 +437,11 @@ fn run_one(
     metric: &dyn Metric,
     q: &BatchQuery,
 ) -> IndexResult<BatchAnswer> {
+    let ctx = QueryContext::unlimited();
     match q {
         BatchQuery::Box(rect) => {
-            let (mut oids, io) = idx.box_query_counted(rect)?;
+            let (outcome, io) = idx.box_query_ctx(rect, ctx)?;
+            let mut oids = outcome.into_results();
             oids.sort_unstable();
             Ok(BatchAnswer {
                 oids,
@@ -448,7 +450,8 @@ fn run_one(
             })
         }
         BatchQuery::Distance(center, radius) => {
-            let (mut oids, io) = idx.distance_range_counted(center, *radius, metric)?;
+            let (outcome, io) = idx.distance_range_ctx(center, *radius, metric, ctx)?;
+            let mut oids = outcome.into_results();
             oids.sort_unstable();
             Ok(BatchAnswer {
                 oids,
@@ -457,8 +460,8 @@ fn run_one(
             })
         }
         BatchQuery::Knn(center, k) => {
-            let (hits, io) = idx.knn_counted(center, *k, metric)?;
-            let (oids, distances) = hits.into_iter().unzip();
+            let (outcome, io) = idx.knn_ctx(center, *k, metric, ctx)?;
+            let (oids, distances) = outcome.into_results().into_iter().unzip();
             Ok(BatchAnswer {
                 oids,
                 distances,
@@ -790,7 +793,7 @@ pub fn run_knn_stream(
 mod tests {
     use super::*;
     use hyt_data::{uniform, BoxWorkload};
-    use hyt_geom::L1;
+    use hyt_geom::{L1, L2};
 
     #[test]
     fn all_engines_build_and_answer_identically() {
@@ -1053,6 +1056,58 @@ mod tests {
         // Not asserted > 0: on a fast machine every query may still be
         // admitted. The dedicated gate unit test pins the shed path.
         let _ = shed;
+    }
+
+    #[test]
+    fn warm_repeat_pass_cuts_decodes_without_changing_logical_io() {
+        // Per engine: the same mixed batch, decoded-node cache off then
+        // on. After a warm-up pass, a repeated pass must decode at most
+        // half as often with the cache on, hit it more often than not,
+        // and read exactly the same logical pages.
+        let data = uniform(1500, 4, 71);
+        for e in [
+            Engine::Hybrid,
+            Engine::Sr,
+            Engine::Kdb,
+            Engine::Hb,
+            Engine::Scan,
+        ] {
+            let batch: Vec<BatchQuery> = if e == Engine::Hb {
+                let wl = BoxWorkload::calibrated(&data, 6, 0.01, 97);
+                wl.queries.iter().cloned().map(BatchQuery::Box).collect()
+            } else {
+                mixed_batch(&data, 6)
+            };
+            let mut modes = Vec::new();
+            for entries in [0usize, 4096] {
+                let (idx, _) = build_engine_cached(e, &data, entries).unwrap();
+                // Answers and logical reads must match across modes;
+                // physical reads legitimately drop on cache hits.
+                let warm: Vec<_> = run_batch(idx.as_ref(), &L2, &batch)
+                    .unwrap()
+                    .into_iter()
+                    .map(|a| (a.oids, a.distances, a.io.logical_reads, a.io.seq_reads))
+                    .collect();
+                idx.reset_io_stats();
+                for _ in 0..2 {
+                    run_batch(idx.as_ref(), &L2, &batch).unwrap();
+                }
+                let io = idx.io_stats();
+                modes.push((warm, idx.cache_stats(), io.logical_reads + io.seq_reads));
+            }
+            let (off_answers, off, off_reads) = &modes[0];
+            let (on_answers, on, on_reads) = &modes[1];
+            assert_eq!(off_answers, on_answers, "{}: answers differ", e.name());
+            assert!(
+                off.misses >= 2 * on.misses.max(1),
+                "{}: decodes {} -> {}, want at least 2x fewer",
+                e.name(),
+                off.misses,
+                on.misses
+            );
+            assert!(on.hit_rate() > 0.5, "{}: warm hit rate low", e.name());
+            assert_eq!(off_reads, on_reads, "{}: logical I/O changed", e.name());
+        }
     }
 
     #[test]

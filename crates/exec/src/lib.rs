@@ -23,6 +23,9 @@
 //!   [`Metric::distance_from_sq`] on the way out.
 //! * **Early abandon** — kNN candidate scans go through a sink that
 //!   applies [`Metric::distance_sq_within`] against the current k-th best.
+//! * **Approximation** — [`run_knn`] takes the classical `(1 + ε)`
+//!   relaxation as a pruning parameter, so approximate search is the same
+//!   governed loop with a tighter node threshold, on every engine.
 //!
 //! The kernel is *bit-identical* to the per-engine loops it replaced:
 //! same answers, same logical/sequential read accounting, same degradation
@@ -372,15 +375,17 @@ struct KnnAcc<'a> {
     q: &'a Point,
     metric: &'a dyn Metric,
     k: usize,
+    epsilon: f64,
     best: BinaryHeap<HeapHit>,
 }
 
 impl<'a> KnnAcc<'a> {
-    fn new(q: &'a Point, metric: &'a dyn Metric, k: usize) -> Self {
+    fn new(q: &'a Point, metric: &'a dyn Metric, k: usize, epsilon: f64) -> Self {
         KnnAcc {
             q,
             metric,
             k,
+            epsilon,
             best: BinaryHeap::new(),
         }
     }
@@ -399,10 +404,19 @@ impl<'a> KnnAcc<'a> {
         }
     }
 
-    /// Whether a node with squared lower bound `b` could still contribute
-    /// (ties admitted, matching the former per-engine push filters).
-    fn admits(&self, b: f64) -> bool {
-        self.best.len() < self.k || self.best.peek().is_some_and(|h| b <= h.dist)
+    /// Comparator-space node threshold: a node whose squared bound
+    /// exceeds it is pruned (ties admitted). Exact search (ε = 0) compares
+    /// against the k-th best itself, untouched; otherwise the k-th best
+    /// distance shrinks by `1 + ε` and maps back through
+    /// [`range_bound_sq`], whose slight upward slack only ever admits.
+    fn threshold(&self) -> f64 {
+        let worst = self.worst();
+        if self.epsilon == 0.0 {
+            worst
+        } else {
+            let radius = self.metric.distance_from_sq(worst) / (1.0 + self.epsilon);
+            range_bound_sq(self.metric, radius)
+        }
     }
 
     /// Drains into `(oid, distance)` sorted ascending (ties by oid),
@@ -445,14 +459,27 @@ impl EntrySink for KnnAcc<'_> {
 /// then finds the true cap-nearest neighbors, reported as
 /// budget-degraded. A denied read settles into the best candidates found
 /// so far, sorted.
+///
+/// `epsilon > 0` makes the search `(1 + ε)`-approximate: a node is
+/// pruned once its bound exceeds the k-th best distance divided by
+/// `1 + ε`, so every reported neighbor is within `1 + ε` times the true
+/// neighbor of the same rank while fewer pages are read. `epsilon == 0`
+/// is exact kNN; a negative or NaN `epsilon` is an
+/// [`IndexError::InvalidArgument`].
 #[allow(clippy::type_complexity)]
 pub fn run_knn<E: NodeExpand>(
     ex: &E,
     q: &Point,
     k: usize,
+    epsilon: f64,
     metric: &dyn Metric,
     ctx: &QueryContext,
 ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
+    if epsilon.is_nan() || epsilon < 0.0 {
+        return Err(IndexError::InvalidArgument(
+            "epsilon must be a non-negative number",
+        ));
+    }
     let mut io = IoStats::default();
     let clamped = ctx.max_results.is_some_and(|m| m < k);
     let k = ctx.max_results.map_or(k, |m| k.min(m));
@@ -473,10 +500,13 @@ pub fn run_knn<E: NodeExpand>(
     }
     let dedup = ex.dedup_visits();
     let mut visited: HashSet<u64> = HashSet::new();
-    let mut acc = KnnAcc::new(q, metric, k);
+    let mut acc = KnnAcc::new(q, metric, k, epsilon);
     let mut children: Vec<Child<E::Ref>> = Vec::new();
+    // The threshold only moves when a leaf updates the best k, so it is
+    // recomputed once per expansion.
+    let mut threshold = f64::INFINITY;
     while let Some(item) = pq.pop() {
-        if acc.full() && item.bound > acc.worst() {
+        if acc.full() && item.bound > threshold {
             break;
         }
         if dedup && !visited.insert(item.id) {
@@ -493,8 +523,9 @@ pub fn run_knn<E: NodeExpand>(
         ) {
             return settle_interrupt(e, acc.into_sorted_hits(), io);
         }
+        threshold = acc.threshold();
         for c in children.drain(..) {
-            if acc.admits(c.bound) {
+            if !acc.full() || c.bound <= threshold {
                 pq.push(PqNode {
                     bound: c.bound,
                     id: ex.node_id(&c.node),
@@ -857,7 +888,7 @@ mod tests {
     fn knn_prunes_far_nodes_and_sorts_hits() {
         let m = mock();
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         let hits = outcome.into_results();
         assert_eq!(
             hits.iter().map(|(o, _)| *o).collect::<Vec<_>>(),
@@ -869,11 +900,36 @@ mod tests {
     }
 
     #[test]
+    fn epsilon_prunes_nodes_within_the_relaxed_bound() {
+        // Leaf 2's bound (0.03) is below the exact k-th best (0.2^2 =
+        // 0.04) but above (0.2 / 1.5)^2 ~ 0.018: exact search reads it
+        // and finds oid 3; epsilon = 0.5 prunes it and keeps oid 2, whose
+        // distance 0.2 is within 1.5x the true second neighbor's 0.18.
+        let m = Mock {
+            leaves: vec![
+                (0.0, vec![(1, vec![0.1, 0.0]), (2, vec![0.2, 0.0])]),
+                (0.03, vec![(3, vec![0.18, 0.0])]),
+            ],
+            fail_at: None,
+            visits: std::cell::Cell::new(0),
+        };
+        let q = Point::new(vec![0.0, 0.0]);
+        let oids = |hits: &[(u64, f64)]| hits.iter().map(|(o, _)| *o).collect::<Vec<_>>();
+        let (exact, io) = run_knn(&m, &q, 2, 0.0, &L2, QueryContext::unlimited()).unwrap();
+        assert_eq!(oids(exact.results()), vec![1, 3]);
+        assert_eq!(io.logical_reads, 3);
+        let (approx, io) = run_knn(&m, &q, 2, 0.5, &L2, QueryContext::unlimited()).unwrap();
+        assert!(approx.is_complete());
+        assert_eq!(oids(approx.results()), vec![1, 2]);
+        assert_eq!(io.logical_reads, 2);
+    }
+
+    #[test]
     fn interrupt_settles_with_best_so_far() {
         let mut m = mock();
         m.fail_at = Some(3); // root, leaf 1 ok; leaf 2 denied
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         assert_eq!(
             outcome.degrade_reason(),
             Some(DegradeReason::BudgetExhausted)
@@ -915,7 +971,7 @@ mod tests {
     fn cursor_yields_batch_prefix_in_order() {
         let m = mock();
         let q = Point::new(vec![0.0, 0.0]);
-        let (batch, _) = run_knn(&m, &q, 5, &L2, QueryContext::unlimited()).unwrap();
+        let (batch, _) = run_knn(&m, &q, 5, 0.0, &L2, QueryContext::unlimited()).unwrap();
         let batch = batch.into_results();
         let mut cur = KnnCursor::new(mock(), q, &L2, QueryContext::unlimited().clone());
         let mut streamed = Vec::new();
@@ -945,7 +1001,7 @@ mod tests {
             visits: std::cell::Cell::new(0),
         };
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         assert!(outcome.is_complete());
         assert!(outcome.into_results().is_empty());
         assert_eq!(io.logical_reads, 0);

@@ -30,6 +30,9 @@ pub enum IndexError {
     /// An operation that infers properties from its input (e.g.
     /// dimensionality from the first point) received an empty dataset.
     EmptyDataset(&'static str),
+    /// A query parameter is outside its domain (e.g. a negative or NaN
+    /// approximation factor).
+    InvalidArgument(&'static str),
     /// The structure detected an internal inconsistency.
     Internal(String),
 }
@@ -49,6 +52,7 @@ impl fmt::Display for IndexError {
             IndexError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             IndexError::Storage(e) => write!(f, "storage error: {e}"),
             IndexError::EmptyDataset(what) => write!(f, "empty dataset: {what}"),
+            IndexError::InvalidArgument(what) => write!(f, "invalid argument: {what}"),
             IndexError::Internal(msg) => write!(f, "internal index error: {msg}"),
         }
     }
@@ -299,14 +303,14 @@ pub struct StructureStats {
 /// Queries take `&self`: a built index can be shared across threads
 /// (hence the `Send + Sync` supertraits) and searched concurrently —
 /// mutation (`insert`/`delete`) still requires exclusive access, which
-/// the borrow checker enforces. The `*_counted` variants additionally
+/// the borrow checker enforces. The governed `*_ctx` variants additionally
 /// return the [`IoStats`] incurred by that one query, attributed to the
 /// caller even when many queries share the underlying buffer pool; the
-/// plain variants are convenience wrappers that discard the per-query
-/// counters (the pool-global counters behind [`io_stats`](Self::io_stats)
-/// always advance either way). A query's `logical_reads`/`seq_reads`
-/// depend only on its own traversal, so they are identical whether the
-/// batch runs serially or in parallel.
+/// plain variants are convenience wrappers that run unlimited and discard
+/// the per-query counters (the pool-global counters behind
+/// [`io_stats`](Self::io_stats) always advance either way). A query's
+/// `logical_reads`/`seq_reads` depend only on its own traversal, so they
+/// are identical whether the batch runs serially or in parallel.
 pub trait MultidimIndex: Send + Sync {
     /// Short name used in reports ("hybrid", "sr-tree", ...).
     fn name(&self) -> &'static str;
@@ -332,13 +336,10 @@ pub trait MultidimIndex: Send + Sync {
     /// Bounding-box (window) query: all oids whose points lie inside the
     /// closed rectangle.
     fn box_query(&self, rect: &Rect) -> IndexResult<Vec<u64>> {
-        Ok(self.box_query_counted(rect)?.0)
-    }
-
-    /// [`box_query`](Self::box_query) plus the I/O this query incurred.
-    fn box_query_counted(&self, rect: &Rect) -> IndexResult<(Vec<u64>, IoStats)> {
-        let (outcome, io) = self.box_query_ctx(rect, QueryContext::unlimited())?;
-        Ok((outcome.into_results(), io))
+        Ok(self
+            .box_query_ctx(rect, QueryContext::unlimited())?
+            .0
+            .into_results())
     }
 
     /// Governed window query: the traversal consults `ctx` before every
@@ -356,20 +357,10 @@ pub trait MultidimIndex: Send + Sync {
     /// Distance range query under an arbitrary metric: all oids within
     /// `radius` of `q`.
     fn distance_range(&self, q: &Point, radius: f64, metric: &dyn Metric) -> IndexResult<Vec<u64>> {
-        Ok(self.distance_range_counted(q, radius, metric)?.0)
-    }
-
-    /// [`distance_range`](Self::distance_range) plus the I/O this query
-    /// incurred.
-    fn distance_range_counted(
-        &self,
-        q: &Point,
-        radius: f64,
-        metric: &dyn Metric,
-    ) -> IndexResult<(Vec<u64>, IoStats)> {
-        let (outcome, io) =
-            self.distance_range_ctx(q, radius, metric, QueryContext::unlimited())?;
-        Ok((outcome.into_results(), io))
+        Ok(self
+            .distance_range_ctx(q, radius, metric, QueryContext::unlimited())?
+            .0
+            .into_results())
     }
 
     /// Governed distance range query (see
@@ -386,18 +377,10 @@ pub trait MultidimIndex: Send + Sync {
     /// k-nearest-neighbor query; returns `(oid, distance)` sorted by
     /// ascending distance (ties broken arbitrarily).
     fn knn(&self, q: &Point, k: usize, metric: &dyn Metric) -> IndexResult<Vec<(u64, f64)>> {
-        Ok(self.knn_counted(q, k, metric)?.0)
-    }
-
-    /// [`knn`](Self::knn) plus the I/O this query incurred.
-    fn knn_counted(
-        &self,
-        q: &Point,
-        k: usize,
-        metric: &dyn Metric,
-    ) -> IndexResult<(Vec<(u64, f64)>, IoStats)> {
-        let (outcome, io) = self.knn_ctx(q, k, metric, QueryContext::unlimited())?;
-        Ok((outcome.into_results(), io))
+        Ok(self
+            .knn_ctx(q, k, metric, QueryContext::unlimited())?
+            .0
+            .into_results())
     }
 
     /// Governed kNN query (see [`box_query_ctx`](Self::box_query_ctx)
@@ -484,6 +467,9 @@ mod tests {
         assert!(IndexError::EmptyDataset("need one point")
             .to_string()
             .contains("empty dataset"));
+        assert!(IndexError::InvalidArgument("epsilon")
+            .to_string()
+            .contains("invalid argument: epsilon"));
     }
 
     #[test]

@@ -898,7 +898,7 @@ impl<S: Storage> MultidimIndex for KdbTree<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&KdbExpand { tree: self }, q, k, metric, ctx)
+        hyt_exec::run_knn(&KdbExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(
@@ -1065,7 +1065,7 @@ mod tests {
     }
 
     #[test]
-    fn cascading_splits_happen_and_are_counted() {
+    fn cascading_splits_happen_and_show_in_split_stats() {
         // Correlated, clustered data triggers unbalanced kd trees and
         // forces median hyperplanes with cascades.
         let mut rng = StdRng::seed_from_u64(5);

@@ -91,8 +91,10 @@ fn hybrid_tree_is_shareable_across_threads() {
                 answers.push(tree.knn(c, 5, &L2).unwrap());
             }
             // A streaming cursor shares the tree with the other threads.
-            let mut iter = tree.nearest_iter(&centers[0], &L2).unwrap();
-            let first = iter.next().unwrap().unwrap();
+            let mut stream = tree
+                .knn_stream(&centers[0], &L2, QueryContext::unlimited())
+                .unwrap();
+            let first = stream.next().unwrap();
             (answers, first)
         }));
     }

@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hybrid_tree::{bipartition_1d, HybridTree, HybridTreeConfig};
-use hyt_data::{colhist, uniform, BoxWorkload};
+use hyt_data::{calibrate_radius, colhist, uniform, BoxWorkload};
 use hyt_eval::{run_batch_parallel, BatchQuery};
 use hyt_geom::{Metric, Point, Rect, L1, L2};
 use hyt_index::{MultidimIndex, QueryContext};
@@ -86,6 +86,41 @@ fn bench_queries(c: &mut Criterion) {
     });
     g.bench_function("range_l1_16d_20k", |b| {
         b.iter(|| black_box(tree.distance_range(&q, 0.3, &L1).unwrap().len()))
+    });
+
+    // 32-d COLHIST, node cache on: kNN reads a fraction of the leaves, so
+    // directory expansion (kd walk + ELS child bounds) shows, unlike on
+    // uniform 16-d where kNN visits nearly every leaf. Queries are
+    // members of the dataset (query-by-example); the L1 radius is
+    // calibrated to 0.2% selectivity.
+    let dim = 32usize;
+    let data = colhist(20_000, dim, 29);
+    let mut tree = HybridTree::new(
+        dim,
+        HybridTreeConfig {
+            node_cache_entries: 4096,
+            ..HybridTreeConfig::default()
+        },
+    )
+    .unwrap();
+    for (i, p) in data.iter().enumerate() {
+        tree.insert(p.clone(), i as u64).unwrap();
+    }
+    let centers: Vec<Point> = data.iter().step_by(313).take(64).cloned().collect();
+    let radius = calibrate_radius(&data[..5_000], &centers, 0.002, &L1);
+    g.bench_function("knn10_l2_32d_colhist_20k", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % centers.len();
+            black_box(tree.knn(&centers[i], 10, &L2).unwrap().len())
+        })
+    });
+    g.bench_function("range_l1_32d_colhist_20k", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % centers.len();
+            black_box(tree.distance_range(&centers[i], radius, &L1).unwrap().len())
+        })
     });
     g.finish();
 }

@@ -384,12 +384,19 @@ impl KdTree {
 
     /// All child page ids (kd leaves), left to right.
     pub fn child_ids(&self) -> Vec<PageId> {
+        let mut out = Vec::new();
+        self.for_each_child(&mut |c| out.push(c));
+        out
+    }
+
+    /// Calls `f` on every child page id (kd leaf), left to right: one
+    /// traversal, no allocation.
+    pub fn for_each_child(&self, f: &mut impl FnMut(PageId)) {
         match self {
-            KdTree::Leaf { child } => vec![*child],
+            KdTree::Leaf { child } => f(*child),
             KdTree::Internal { left, right, .. } => {
-                let mut v = left.child_ids();
-                v.extend(right.child_ids());
-                v
+                left.for_each_child(f);
+                right.for_each_child(f);
             }
         }
     }

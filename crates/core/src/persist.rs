@@ -125,11 +125,33 @@ pub(crate) struct CatalogCore {
     pub global_br: Option<Rect>,
 }
 
-/// A parsed catalog; `els` is `Err` when only the ELS section failed its
-/// checksum (the core is intact, so recovery can rebuild the table).
+/// A parsed catalog; `els` is the ELS section's bytes, or `Err` when only
+/// that section failed its checksum (the core is intact, so recovery can
+/// rebuild the table). The section is decoded by [`decode_els`] once the
+/// page file is open, because its page ids size the ELS arena and must
+/// be checked against the file.
 pub(crate) struct Catalog {
     pub core: CatalogCore,
-    pub els: Result<ElsTable, PageError>,
+    pub els: Result<Vec<u8>, PageError>,
+}
+
+/// Decodes a catalog's ELS section for a page file of `page_slots` slots
+/// and a tree of `dim` dimensions. An entry naming a page at or past the
+/// file's end, a duplicated page id, or a table of another dimensionality
+/// is `Corrupt`, which callers treat like a failed checksum.
+pub(crate) fn decode_els(
+    section: Result<Vec<u8>, PageError>,
+    page_slots: u32,
+    dim: usize,
+) -> Result<ElsTable, PageError> {
+    let els = ElsTable::decode(&mut ByteReader::new(&section?), page_slots)?;
+    if els.dim() != dim {
+        return Err(corrupt(format!(
+            "ELS table has {} dimensions, the catalog {dim}",
+            els.dim()
+        )));
+    }
+    Ok(els)
 }
 
 fn corrupt(msg: impl Into<String>) -> PageError {
@@ -242,7 +264,7 @@ pub(crate) fn read_catalog(meta_path: &Path) -> Result<Catalog, PageError> {
         if crc32(els_bytes) != els_crc {
             return Err(corrupt("catalog ELS section failed its checksum"));
         }
-        ElsTable::decode(&mut ByteReader::new(els_bytes))
+        Ok(els_bytes.to_vec())
     })();
     Ok(Catalog { core, els })
 }
@@ -343,7 +365,7 @@ impl HybridTree<DurableStorage> {
         let storage = DurableStorage::open(pages_path, catalog.core.cfg.page_size)?;
         let diverged = storage.max_live_epoch() > catalog.core.epoch
             || storage.live_pages() != catalog.core.live_pages as usize;
-        match catalog.els {
+        match decode_els(catalog.els, storage.page_slots(), catalog.core.dim) {
             Ok(els) if !diverged => {
                 let core = catalog.core;
                 let data_cap = crate::node::data_capacity(core.cfg.page_size, core.dim);

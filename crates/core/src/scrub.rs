@@ -20,7 +20,7 @@
 
 use crate::els::ElsTable;
 use crate::node::Node;
-use crate::persist::read_catalog;
+use crate::persist::{decode_els, read_catalog};
 use hyt_geom::{Point, Rect};
 use hyt_index::IndexResult;
 use hyt_page::{
@@ -157,7 +157,7 @@ pub fn scrub_index<P: AsRef<Path>, Q: AsRef<Path>>(
     let core = catalog.core;
     let mut scan = scan_frames(pages_path.as_ref(), core.cfg.page_size)?;
     let mut issues = Vec::new();
-    let els = match catalog.els {
+    let els = match decode_els(catalog.els, scan.report.slots, core.dim) {
         Ok(els) => Some(els),
         Err(e) => {
             issues.push(format!("catalog ELS section damaged: {e}"));

@@ -679,19 +679,9 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
                     }
                 })
                 .and_then(|x| x)?;
-            children.extend(kids.into_iter().map(|pid| {
-                Child {
-                    bound: t
-                        .els
-                        .quant_rect(pid)
-                        .map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b)),
-                    node: HyRef {
-                        pid,
-                        depth: r.depth + 1,
-                        region: None,
-                    },
-                }
-            }));
+            for pid in kids {
+                self.push_els_child(pid, r.depth + 1, nq, children);
+            }
             return Ok(NodeKind::Index);
         }
         // ELS disabled: prune with kd-regions tracked down the tree.
@@ -724,19 +714,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
                 Ok(NodeKind::Leaf)
             }
             Node::Index { kd, .. } => {
-                children.extend(kd.child_ids().into_iter().map(|pid| {
-                    Child {
-                        bound: t
-                            .els
-                            .quant_rect(pid)
-                            .map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b)),
-                        node: HyRef {
-                            pid,
-                            depth: r.depth + 1,
-                            region: None,
-                        },
-                    }
-                }));
+                kd.for_each_child(&mut |pid| self.push_els_child(pid, r.depth + 1, nq, children));
                 Ok(NodeKind::Index)
             }
         }
@@ -744,6 +722,34 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
 }
 
 impl<S: Storage> HyExpand<'_, S> {
+    /// Emits `pid` bounded by its quantized live box, read in place from
+    /// the ELS arena, or omits it once the bound is known to exceed the
+    /// kernel's threshold `nq.prune_sq` (the kernel would discard it). An
+    /// untracked child is bounded by `0`.
+    #[inline]
+    fn push_els_child(
+        &self,
+        pid: PageId,
+        depth: usize,
+        nq: NearQuery<'_>,
+        children: &mut Vec<Child<HyRef>>,
+    ) {
+        let bound = match self.tree.els.quant_rect(pid) {
+            Some((lo, hi)) => nq.metric.min_dist_rect_sq_within(nq.q, lo, hi, nq.prune_sq),
+            None => Some(0.0),
+        };
+        if let Some(bound) = bound {
+            children.push(Child {
+                bound,
+                node: HyRef {
+                    pid,
+                    depth,
+                    region: None,
+                },
+            });
+        }
+    }
+
     /// Shared ELS-disabled expansion: decoded reads with kd-regions
     /// handed down the tree bounding every child.
     fn expand_regioned(

@@ -78,6 +78,12 @@ pub struct NearQuery<'a> {
     /// The distance function (chosen per query — the paper's trees are
     /// feature-based, so the structure never depends on it).
     pub metric: &'a dyn Metric,
+    /// The comparator-space threshold the kernel will apply to this
+    /// expansion's children, read before the expansion starts: a child
+    /// whose bound exceeds it is discarded. An engine may omit such
+    /// children instead of emitting them (see [`NodeExpand`]); it may also
+    /// ignore the hint. `f64::INFINITY` when nothing can be pruned yet.
+    pub prune_sq: f64,
 }
 
 /// Receives candidate leaf entries during distance-bounded expansion.
@@ -106,6 +112,14 @@ pub trait EntrySink {
 /// * An `Err` whose [`IndexError::interrupt`] is `Some` means a governed
 ///   read was denied *before* any of this node's entries were emitted;
 ///   the kernel settles it into a degraded answer.
+/// * Distance-bounded expansion may omit any child whose bound exceeds
+///   [`NearQuery::prune_sq`], and may stop computing that bound as soon
+///   as it is known to exceed it
+///   ([`Metric::min_dist_rect_sq_within`]). The kept frontier cannot
+///   change: `prune_sq` is read before the expansion, and the kernel's
+///   threshold only falls during one (a leaf that also emits children,
+///   the hB-tree's redirects, can only tighten it), so the kernel would
+///   discard every omitted child anyway. Engines may ignore the hint.
 pub trait NodeExpand {
     /// Engine-specific node reference carried on the frontier.
     type Ref;
@@ -276,7 +290,11 @@ pub fn run_distance_range<E: NodeExpand>(
         children.clear();
         match ex.expand_range(
             r,
-            NearQuery { q, metric },
+            NearQuery {
+                q,
+                metric,
+                prune_sq: bound_sq,
+            },
             &mut io,
             ctx,
             &mut sink,
@@ -513,9 +531,16 @@ pub fn run_knn<E: NodeExpand>(
             continue;
         }
         children.clear();
+        // The threshold this expansion's children will face; only a full
+        // candidate set prunes.
+        let prune_sq = if acc.full() { threshold } else { f64::INFINITY };
         if let Err(e) = ex.expand_near(
             item.node,
-            NearQuery { q, metric },
+            NearQuery {
+                q,
+                metric,
+                prune_sq,
+            },
             &mut io,
             ctx,
             &mut acc,
@@ -689,6 +714,8 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
                 NearQuery {
                     q: &self.q,
                     metric: self.metric,
+                    // A cursor has no k: every child is kept.
+                    prune_sq: f64::INFINITY,
                 },
                 &mut self.io,
                 &self.ctx,
@@ -991,6 +1018,216 @@ mod tests {
         assert!(cur.next().is_some());
         assert!(cur.next().is_none());
         assert_eq!(cur.degrade_reason(), Some(DegradeReason::BudgetExhausted));
+    }
+
+    /// A node of [`TreeMock`]: bounded children (a leaf's are hB-tree
+    /// style redirects) and, for a leaf, `(oid, coords)` entries.
+    struct MockNode {
+        leaf: bool,
+        entries: Vec<(u64, Vec<f32>)>,
+        children: Vec<(f64, usize)>,
+    }
+
+    /// A multi-level mock that records the `prune_sq` of every
+    /// expansion and, when `honour` is set, omits children whose bound
+    /// exceeds it (the `NodeExpand` contract's optional pruning). Reads
+    /// are admitted through the context, so read budgets apply.
+    struct TreeMock {
+        nodes: Vec<MockNode>,
+        honour: bool,
+        seen: std::cell::RefCell<Vec<f64>>,
+        omitted: std::cell::Cell<usize>,
+    }
+
+    impl TreeMock {
+        /// Root 0 over directory pages 1 and 2. Leaf 3 (bound 0) fills a
+        /// k = 2 candidate set before page 2 is expanded; page 2 then
+        /// emits leaf 5 (near) and leaf 6 (far); leaf 5 also redirects to
+        /// leaf 7, whose bound falls between the threshold before and
+        /// after leaf 5's entries.
+        fn new(honour: bool) -> Self {
+            let index = |children: Vec<(f64, usize)>| MockNode {
+                leaf: false,
+                entries: Vec::new(),
+                children,
+            };
+            let leaf = |entries: Vec<(u64, Vec<f32>)>, children: Vec<(f64, usize)>| MockNode {
+                leaf: true,
+                entries,
+                children,
+            };
+            TreeMock {
+                nodes: vec![
+                    index(vec![(0.0, 1), (0.005, 2)]),
+                    index(vec![(0.0, 3), (0.09, 4)]),
+                    index(vec![(0.01, 5), (1.0, 6)]),
+                    leaf(vec![(1, vec![0.1, 0.0]), (2, vec![0.2, 0.0])], vec![]),
+                    leaf(vec![(3, vec![0.3, 0.0]), (4, vec![0.35, 0.0])], vec![]),
+                    leaf(vec![(5, vec![0.15, 0.0])], vec![(0.03, 7)]),
+                    leaf(vec![(6, vec![1.0, 0.0])], vec![]),
+                    leaf(vec![(7, vec![0.18, 0.0])], vec![]),
+                ],
+                honour,
+                seen: std::cell::RefCell::new(Vec::new()),
+                omitted: std::cell::Cell::new(0),
+            }
+        }
+
+        fn seen(&self) -> Vec<f64> {
+            self.seen.borrow().clone()
+        }
+    }
+
+    impl NodeExpand for TreeMock {
+        type Ref = usize;
+
+        fn node_id(&self, r: &usize) -> u64 {
+            *r as u64
+        }
+
+        fn roots(&self) -> Vec<usize> {
+            vec![0]
+        }
+
+        fn expand_box(
+            &self,
+            _r: usize,
+            _rect: &Rect,
+            _io: &mut IoStats,
+            _ctx: &QueryContext,
+            _out: &mut Vec<u64>,
+            _children: &mut Vec<usize>,
+        ) -> IndexResult<NodeKind> {
+            Err(IndexError::Internal("box queries are not mocked".into()))
+        }
+
+        fn expand_range(
+            &self,
+            r: usize,
+            nq: NearQuery<'_>,
+            io: &mut IoStats,
+            ctx: &QueryContext,
+            sink: &mut dyn EntrySink,
+            children: &mut Vec<Child<usize>>,
+        ) -> IndexResult<NodeKind> {
+            self.expand_near(r, nq, io, ctx, sink, children)
+        }
+
+        fn expand_near(
+            &self,
+            r: usize,
+            nq: NearQuery<'_>,
+            io: &mut IoStats,
+            ctx: &QueryContext,
+            sink: &mut dyn EntrySink,
+            children: &mut Vec<Child<usize>>,
+        ) -> IndexResult<NodeKind> {
+            ctx.admit_read(io)
+                .map_err(|i| IndexError::Storage(PageError::Interrupted(i)))?;
+            io.logical_reads += 1;
+            self.seen.borrow_mut().push(nq.prune_sq);
+            let node = &self.nodes[r];
+            for (oid, c) in &node.entries {
+                sink.offer(*oid, &Point::new(c.clone()));
+            }
+            for &(bound, child) in &node.children {
+                if self.honour && bound > nq.prune_sq {
+                    self.omitted.set(self.omitted.get() + 1);
+                } else {
+                    children.push(Child { bound, node: child });
+                }
+            }
+            Ok(if node.leaf {
+                NodeKind::Leaf
+            } else {
+                NodeKind::Index
+            })
+        }
+    }
+
+    /// Comparator-space distance from the origin to `(x, 0)`, as the
+    /// kernel computes it.
+    fn sq_from_origin(x: f32) -> f64 {
+        L2.distance_sq(&Point::new(vec![0.0, 0.0]), &Point::new(vec![x, 0.0]))
+    }
+
+    #[test]
+    fn prune_sq_is_the_threshold_the_kernel_applies() {
+        let q = Point::new(vec![0.0, 0.0]);
+        let inf = f64::INFINITY;
+        let unlimited = QueryContext::unlimited();
+
+        // Exact kNN, k = 2: infinity until leaf 3 fills the candidate
+        // set, then the 2nd best (0.2^2); leaf 7 is pruned by the
+        // kernel after leaf 5 lowers it to 0.15^2.
+        let m = TreeMock::new(false);
+        run_knn(&m, &q, 2, 0.0, &L2, unlimited).unwrap();
+        let kth = sq_from_origin(0.2);
+        assert_eq!(m.seen(), vec![inf, inf, inf, kth, kth]);
+
+        // epsilon-kNN: the relaxed threshold, not the k-th best.
+        let m = TreeMock::new(false);
+        run_knn(&m, &q, 2, 0.5, &L2, unlimited).unwrap();
+        let relaxed = range_bound_sq(&L2, L2.distance_from_sq(kth) / 1.5);
+        assert!(relaxed < kth);
+        assert_eq!(m.seen(), vec![inf, inf, inf, relaxed, relaxed]);
+
+        // Range: the comparator-space radius on every expansion.
+        let m = TreeMock::new(false);
+        run_distance_range(&m, &q, 0.3, &L2, unlimited).unwrap();
+        let seen = m.seen();
+        assert!(seen.len() >= 4);
+        assert!(seen.iter().all(|&p| p == range_bound_sq(&L2, 0.3)));
+
+        // Cursor: no k, nothing to prune.
+        let mut cur = KnnCursor::new(TreeMock::new(false), q, &L2, unlimited.clone());
+        while cur.next().is_some() {}
+        let seen = cur.ex.seen();
+        assert_eq!(seen.len(), 8);
+        assert!(seen.iter().all(|&p| p == inf));
+    }
+
+    #[test]
+    fn honouring_prune_sq_changes_no_answer_and_no_read() {
+        let q = Point::new(vec![0.0, 0.0]);
+        type Run = fn(&TreeMock, &Point, &QueryContext) -> (String, u64);
+        let knn: Run = |m, q, ctx| {
+            let (o, io) = run_knn(m, q, 2, 0.0, &L2, ctx).unwrap();
+            (
+                format!("{:?} {:?}", o.degrade_reason(), o.results()),
+                io.logical_reads,
+            )
+        };
+        let approx: Run = |m, q, ctx| {
+            let (o, io) = run_knn(m, q, 2, 0.5, &L2, ctx).unwrap();
+            (
+                format!("{:?} {:?}", o.degrade_reason(), o.results()),
+                io.logical_reads,
+            )
+        };
+        let range: Run = |m, q, ctx| {
+            let (o, io) = run_distance_range(m, q, 0.3, &L2, ctx).unwrap();
+            (
+                format!("{:?} {:?}", o.degrade_reason(), o.results()),
+                io.logical_reads,
+            )
+        };
+        let mut cases = vec![
+            (knn, QueryContext::unlimited().clone()),
+            (approx, QueryContext::unlimited().clone()),
+            (range, QueryContext::unlimited().clone()),
+        ];
+        // Read-budget-degraded kNN at every cut point.
+        cases.extend((1..=6).map(|max| (knn, QueryContext::default().with_max_reads(max))));
+        let mut omitted = 0;
+        for (run, ctx) in &cases {
+            let ignoring = TreeMock::new(false);
+            let honouring = TreeMock::new(true);
+            assert_eq!(run(&honouring, &q, ctx), run(&ignoring, &q, ctx));
+            omitted += honouring.omitted.get();
+        }
+        // The comparison is not vacuous: honouring did omit children.
+        assert!(omitted > 0);
     }
 
     #[test]

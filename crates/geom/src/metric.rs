@@ -13,7 +13,7 @@
 //! additionally provides a norm-equivalence factor so an L2 sphere can be
 //! used for pruning under a different query metric without false dismissals.
 
-use crate::{Point, Rect};
+use crate::{Coord, Point, Rect};
 
 /// A distance function usable for range and nearest-neighbor queries.
 ///
@@ -105,6 +105,33 @@ pub trait Metric: Sync {
         (d_sq <= bound_sq).then_some(d_sq)
     }
 
+    /// Early-abandon form of [`min_dist_rect_sq`](Metric::min_dist_rect_sq)
+    /// over a box given as borrowed `lo`/`hi` rows (an ELS arena row, with
+    /// no `Rect` to build): may bail out as soon as the partial
+    /// accumulation already exceeds `bound_sq`.
+    ///
+    /// Returns `Some(b)` iff `min_dist_rect_sq(q, rect) <= bound_sq`, with
+    /// `b` bit-identical to it; `None` otherwise. The bundled metrics
+    /// override this with a loop in `min_dist_rect_sq`'s accumulation
+    /// order that checks the bound every `ABANDON_STRIDE` dimensions, like
+    /// [`distance_sq_within`](Metric::distance_sq_within). The default
+    /// builds the `Rect` and calls `min_dist_rect_sq`, so metrics that
+    /// implement only the required methods keep working.
+    ///
+    /// # Panics
+    /// The default panics, like [`Rect::new`], if the rows are not a
+    /// valid box (finite, `lo <= hi`, equal non-zero lengths).
+    fn min_dist_rect_sq_within(
+        &self,
+        q: &Point,
+        lo: &[Coord],
+        hi: &[Coord],
+        bound_sq: f64,
+    ) -> Option<f64> {
+        let b = self.min_dist_rect_sq(q, &Rect::new(lo.to_vec(), hi.to_vec()));
+        (b <= bound_sq).then_some(b)
+    }
+
     /// Human-readable name for reports.
     fn name(&self) -> &'static str {
         "custom"
@@ -140,6 +167,40 @@ fn axis_gap(x: f64, lo: f64, hi: f64) -> f64 {
     } else {
         0.0
     }
+}
+
+/// Shared body of the bundled [`Metric::min_dist_rect_sq_within`]
+/// overrides: folds `step(acc, d, gap_d)` over the dimensions in order,
+/// where `gap_d` is the query's [`axis_gap`] to `[lo[d], hi[d]]`, and
+/// abandons once the partial value exceeds `bound_sq` (checked every
+/// [`ABANDON_STRIDE`] dimensions). Each `step` repeats its metric's
+/// `min_dist_rect_sq` term, so a returned value is bit-identical to it.
+#[inline(always)]
+fn gap_fold_within(
+    q: &Point,
+    lo: &[Coord],
+    hi: &[Coord],
+    bound_sq: f64,
+    step: impl Fn(f64, usize, f64) -> f64,
+) -> Option<f64> {
+    let q = q.coords();
+    let n = q.len();
+    debug_assert!(lo.len() == n && hi.len() == n);
+    let (lo, hi) = (&lo[..n], &hi[..n]);
+    let mut acc = 0.0f64;
+    let mut d = 0;
+    while d < n {
+        let end = (d + ABANDON_STRIDE).min(n);
+        while d < end {
+            let g = axis_gap(f64::from(q[d]), f64::from(lo[d]), f64::from(hi[d]));
+            acc = step(acc, d, g);
+            d += 1;
+        }
+        if acc > bound_sq {
+            return None;
+        }
+    }
+    Some(acc)
 }
 
 /// Manhattan distance (the metric used for the paper's distance-based
@@ -190,6 +251,16 @@ impl Metric for L1 {
             }
         }
         Some(acc)
+    }
+
+    fn min_dist_rect_sq_within(
+        &self,
+        q: &Point,
+        lo: &[Coord],
+        hi: &[Coord],
+        bound_sq: f64,
+    ) -> Option<f64> {
+        gap_fold_within(q, lo, hi, bound_sq, |acc, _, g| acc + g)
     }
 
     fn name(&self) -> &'static str {
@@ -282,6 +353,16 @@ impl Metric for L2 {
             }
         }
         Some(acc)
+    }
+
+    fn min_dist_rect_sq_within(
+        &self,
+        q: &Point,
+        lo: &[Coord],
+        hi: &[Coord],
+        bound_sq: f64,
+    ) -> Option<f64> {
+        gap_fold_within(q, lo, hi, bound_sq, |acc, _, g| acc + g * g)
     }
 
     fn name(&self) -> &'static str {
@@ -402,6 +483,16 @@ impl Metric for Lp {
         Some(acc)
     }
 
+    fn min_dist_rect_sq_within(
+        &self,
+        q: &Point,
+        lo: &[Coord],
+        hi: &[Coord],
+        bound_sq: f64,
+    ) -> Option<f64> {
+        gap_fold_within(q, lo, hi, bound_sq, |acc, _, g| acc + g.powf(self.p))
+    }
+
     fn name(&self) -> &'static str {
         "Lp"
     }
@@ -454,6 +545,16 @@ impl Metric for Chebyshev {
             }
         }
         Some(acc)
+    }
+
+    fn min_dist_rect_sq_within(
+        &self,
+        q: &Point,
+        lo: &[Coord],
+        hi: &[Coord],
+        bound_sq: f64,
+    ) -> Option<f64> {
+        gap_fold_within(q, lo, hi, bound_sq, |acc, _, g| acc.max(g))
     }
 
     fn name(&self) -> &'static str {
@@ -576,6 +677,18 @@ impl Metric for WeightedEuclidean {
         Some(acc)
     }
 
+    fn min_dist_rect_sq_within(
+        &self,
+        q: &Point,
+        lo: &[Coord],
+        hi: &[Coord],
+        bound_sq: f64,
+    ) -> Option<f64> {
+        gap_fold_within(q, lo, hi, bound_sq, |acc, d, g| {
+            acc + self.weights[d] * g * g
+        })
+    }
+
     fn name(&self) -> &'static str {
         "weighted-L2"
     }
@@ -656,6 +769,25 @@ mod tests {
         assert!((L2.min_dist_sphere(&q, &c, 1.0) - 2.0).abs() < 1e-12);
         // Inside the sphere: bound clamps to 0.
         assert_eq!(L2.min_dist_sphere(&q, &c, 4.0), 0.0);
+    }
+
+    /// A user metric with only the required methods: half the L1
+    /// distance. It exercises every provided default, including
+    /// `min_dist_rect_sq_within`.
+    struct HalfL1;
+
+    impl Metric for HalfL1 {
+        fn distance(&self, a: &Point, b: &Point) -> f64 {
+            0.5 * L1.distance(a, b)
+        }
+
+        fn min_dist_rect(&self, q: &Point, rect: &Rect) -> f64 {
+            0.5 * L1.min_dist_rect(q, rect)
+        }
+
+        fn l2_equivalence_factor(&self, dim: usize) -> f64 {
+            0.5 * L1.l2_equivalence_factor(dim)
+        }
     }
 
     proptest! {
@@ -777,6 +909,43 @@ mod tests {
                     "{}: squared mindist must lower-bound squared distance",
                     m.name()
                 );
+            }
+        }
+
+        /// The row-based early-abandon bound is `min_dist_rect_sq` with
+        /// the work cut short: `Some` with identical bits exactly when
+        /// the full bound is within `bound_sq`, `None` otherwise, for
+        /// every bundled metric and for a user metric that relies on the
+        /// default. 20 dimensions span two full abandon strides and a
+        /// partial one.
+        #[test]
+        fn rect_within_is_bit_identical_to_min_dist_rect_sq(
+            q in proptest::collection::vec(-2.0f32..2.0, 20),
+            lo in proptest::collection::vec(-1.0f32..1.0, 20),
+            ext in proptest::collection::vec(0.0f32..1.0, 20),
+            scale in 0.0f64..2.0,
+        ) {
+            let hi: Vec<f32> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
+            let rect = Rect::new(lo.clone(), hi.clone());
+            let qp = Point::new(q);
+            let metrics: Vec<Box<dyn Metric>> = vec![
+                Box::new(L1), Box::new(L2), Box::new(Lp::new(3.0)), Box::new(Chebyshev),
+                Box::new(WeightedEuclidean::new(
+                    (0..20).map(|d| f64::from(d % 5) * 0.75).collect(),
+                )),
+                Box::new(HalfL1),
+            ];
+            for m in &metrics {
+                let full = m.min_dist_rect_sq(&qp, &rect);
+                for bound in [full * scale, full, full * 0.5, full * 2.0 + 1e-9, 0.0, f64::INFINITY] {
+                    let got = m.min_dist_rect_sq_within(&qp, &lo, &hi, bound);
+                    if full <= bound {
+                        prop_assert_eq!(got.map(f64::to_bits), Some(full.to_bits()),
+                            "{}: bound {} must be returned bit-identically", m.name(), bound);
+                    } else {
+                        prop_assert!(got.is_none(), "{}: {} > bound {}", m.name(), full, bound);
+                    }
+                }
             }
         }
 

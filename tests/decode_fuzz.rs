@@ -8,7 +8,8 @@ use hybridtree_repro::core::{scrub_index, ElsTable, HybridTree, HybridTreeConfig
 use hybridtree_repro::geom::Point;
 use hybridtree_repro::index::MultidimIndex;
 use hybridtree_repro::page::{
-    inspect_frame, inspect_header, ByteReader, DurableStorage, FrameStatus, FRAME_HEADER_BYTES,
+    crc32, inspect_frame, inspect_header, ByteReader, DurableStorage, FrameStatus, PageError,
+    FRAME_HEADER_BYTES,
 };
 use proptest::prelude::*;
 
@@ -81,7 +82,7 @@ proptest! {
     #[test]
     fn els_decode_never_panics(raw in proptest::collection::vec(0u16..256, 0..400)) {
         let bytes: Vec<u8> = raw.iter().map(|&v| v as u8).collect();
-        let _ = ElsTable::decode(&mut ByteReader::new(&bytes));
+        let _ = ElsTable::decode(&mut ByteReader::new(&bytes), 1 << 16);
     }
 
     // Frame inspection over arbitrary slot contents: must classify as
@@ -163,4 +164,92 @@ fn zeroed_page_file_is_free_slots_not_a_crash() {
     assert!(HybridTree::open(&pages, &meta).is_err());
     std::fs::remove_file(&pages).ok();
     std::fs::remove_file(&meta).ok();
+}
+
+/// Builds and persists a small 3-d durable tree; returns its paths.
+fn persisted_tree(name: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    let pages = tmp(&format!("{name}.pages"));
+    let meta = tmp(&format!("{name}.meta"));
+    let cfg = HybridTreeConfig {
+        page_size: 256,
+        ..HybridTreeConfig::default()
+    };
+    let mut t = HybridTree::create_durable(3, cfg, &pages).unwrap();
+    for i in 0..200u64 {
+        let x = i as f32 / 200.0;
+        t.insert(Point::new(vec![x, 1.0 - x, 0.5]), i).unwrap();
+    }
+    t.persist(&meta).unwrap();
+    (pages, meta)
+}
+
+/// Rewrites the catalog's ELS section with `edit` and re-seals its
+/// checksum, so the damage reaches the decoder instead of failing the
+/// CRC. Catalog layout: magic, then `(len, bytes, crc)` for the core
+/// section and again for the ELS section. Returns the edited section.
+fn edit_els_section(meta: &std::path::Path, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut cat = std::fs::read(meta).unwrap();
+    let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let core_len = u32_at(&cat, 8) as usize;
+    let els_at = 8 + 4 + core_len + 4;
+    let els_len = u32_at(&cat, els_at) as usize;
+    let body = els_at + 4;
+    edit(&mut cat[body..body + els_len]);
+    let crc = crc32(&cat[body..body + els_len]);
+    cat[body + els_len..body + els_len + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(meta, &cat).unwrap();
+    cat[body..body + els_len].to_vec()
+}
+
+/// ELS section layout: bits (1), dim (4), count (4), then per entry a
+/// page id (4) and `16 * dim` bytes of bounds.
+fn els_entry_id_at(entry: usize, dim: usize) -> usize {
+    9 + entry * (4 + 16 * dim)
+}
+
+/// Opening must recover from a bad ELS section (the table is rebuilt
+/// from the pages) or fail typed; either way the damaged section itself
+/// decodes to `Corrupt`, and scrub reports it.
+fn assert_bad_els_recovers(pages: &std::path::Path, meta: &std::path::Path, section: &[u8]) {
+    let slots = DurableStorage::open(pages, 256).unwrap().page_slots();
+    assert!(matches!(
+        ElsTable::decode(&mut ByteReader::new(section), slots),
+        Err(PageError::Corrupt(_))
+    ));
+    match HybridTree::open(pages, meta) {
+        Ok(t) => {
+            assert_eq!(t.len(), 200);
+            t.check_invariants().unwrap();
+        }
+        Err(e) => assert!(e.to_string().to_lowercase().contains("corrupt"), "{e}"),
+    }
+    let report = scrub_index(pages, meta).unwrap();
+    assert!(!report.is_clean());
+    std::fs::remove_file(pages).ok();
+    std::fs::remove_file(meta).ok();
+}
+
+/// An ELS entry naming page `u32::MAX - 1` must not size the arena: it
+/// is past the page file, so open treats the section as damaged.
+#[test]
+fn els_entry_past_the_page_file_recovers() {
+    let (pages, meta) = persisted_tree("els_far_id");
+    let section = edit_els_section(&meta, |els| {
+        let at = els_entry_id_at(0, 3);
+        els[at..at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+    });
+    assert_bad_els_recovers(&pages, &meta, &section);
+}
+
+/// A duplicated page id in the ELS section is damage, not a silent
+/// overwrite.
+#[test]
+fn els_duplicated_page_id_recovers() {
+    let (pages, meta) = persisted_tree("els_dup_id");
+    let section = edit_els_section(&meta, |els| {
+        let (first, second) = (els_entry_id_at(0, 3), els_entry_id_at(1, 3));
+        let id: [u8; 4] = els[first..first + 4].try_into().unwrap();
+        els[second..second + 4].copy_from_slice(&id);
+    });
+    assert_bad_els_recovers(&pages, &meta, &section);
 }

@@ -385,20 +385,17 @@ impl KdTree {
     /// All child page ids (kd leaves), left to right.
     pub fn child_ids(&self) -> Vec<PageId> {
         let mut out = Vec::new();
-        self.for_each_child(&mut |c| out.push(c));
-        out
-    }
-
-    /// Calls `f` on every child page id (kd leaf), left to right: one
-    /// traversal, no allocation.
-    pub fn for_each_child(&self, f: &mut impl FnMut(PageId)) {
-        match self {
-            KdTree::Leaf { child } => f(*child),
-            KdTree::Internal { left, right, .. } => {
-                left.for_each_child(f);
-                right.for_each_child(f);
+        let mut stack = vec![self];
+        while let Some(t) = stack.pop() {
+            match t {
+                KdTree::Leaf { child } => out.push(*child),
+                KdTree::Internal { left, right, .. } => {
+                    stack.push(right);
+                    stack.push(left);
+                }
             }
         }
+        out
     }
 
     /// Restricts the kd-tree to the children in `keep`: leaves outside

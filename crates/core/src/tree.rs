@@ -560,11 +560,12 @@ struct HyRef {
     region: Option<Rect>,
 }
 
-/// [`NodeExpand`] adapter for the hybrid tree. Each query kind keeps the
-/// exact read path of the former engine-local loop: box queries and
-/// ELS-mode range directory levels navigate the serialized node in place
-/// (paper §3.1: kd-based intra-node search, zero-copy), while kNN and
-/// data pages go through the governed decoded-node path.
+/// [`NodeExpand`] adapter for the hybrid tree. Directory pages are read
+/// in place, serialized (paper §3.1: kd-based intra-node search); data
+/// pages are filtered in place by box queries and go through the
+/// governed decoded-node path for range, kNN and the cursor. With ELS on,
+/// only data pages are ever decoded; the ELS-off ablation decodes every
+/// page to hand kd-regions down.
 struct HyExpand<'t, S: Storage> {
     tree: &'t HybridTree<S>,
 }
@@ -639,7 +640,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
         Ok(NodeKind::Index)
     }
 
-    fn expand_range(
+    fn expand_near(
         &self,
         r: HyRef,
         nq: NearQuery<'_>,
@@ -686,38 +687,6 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
         }
         // ELS disabled: prune with kd-regions tracked down the tree.
         self.expand_regioned(r, nq, io, ctx, sink, children)
-    }
-
-    fn expand_near(
-        &self,
-        r: HyRef,
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<HyRef>>,
-    ) -> IndexResult<NodeKind> {
-        let t = self.tree;
-        if !t.els.enabled() {
-            return self.expand_regioned(r, nq, io, ctx, sink, children);
-        }
-        // Quantized live boxes bound every child; regions are not needed.
-        // Unlike box/range, every page goes through the decoded-node path:
-        // best-first search revisits levels out of order, which is where
-        // the cache pays.
-        let node = t.read_node_ctx(r.pid, io, ctx)?;
-        match &*node {
-            Node::Data(entries) => {
-                for e in entries {
-                    sink.offer(e.oid, &e.point);
-                }
-                Ok(NodeKind::Leaf)
-            }
-            Node::Index { kd, .. } => {
-                kd.for_each_child(&mut |pid| self.push_els_child(pid, r.depth + 1, nq, children));
-                Ok(NodeKind::Index)
-            }
-        }
     }
 }
 
@@ -907,7 +876,6 @@ impl<S: Storage> MultidimIndex for HybridTree<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
     }
 
     fn cache_stats(&self) -> NodeCacheStats {
@@ -1499,5 +1467,39 @@ mod tests {
             pulled < total_pages / 2,
             "3-NN pull read {pulled} of {total_pages} pages"
         );
+    }
+
+    #[test]
+    fn distance_queries_decode_data_pages_only() {
+        let cfg = HybridTreeConfig {
+            node_cache_entries: 4096,
+            ..small_cfg()
+        };
+        let t = build(&rand_points(1500, 4, 23), cfg);
+        let st = t.structure_stats().unwrap();
+        assert!(st.index_nodes > 1, "the tree must have directory levels");
+        let q = Point::new(vec![0.3; 4]);
+        let unlimited = QueryContext::unlimited();
+        // Each query visits every page: one governed read per page, one
+        // decoded-node cache lookup per data page and none per directory
+        // page.
+        let check = |what: &str, io: IoStats| {
+            let cache = t.cache_stats();
+            assert_eq!(io.logical_reads, st.total_nodes as u64, "{what}: reads");
+            assert_eq!(cache.lookups(), st.data_nodes as u64, "{what}: lookups");
+        };
+        t.reset_io_stats();
+        let (hits, io) = t.knn_ctx(&q, t.len(), &L2, unlimited).unwrap();
+        assert_eq!(hits.results().len(), t.len());
+        check("knn", io);
+        t.reset_io_stats();
+        let mut s = t.knn_stream(&q, &L2, unlimited).unwrap();
+        while s.next().is_some() {}
+        check("knn_stream", s.io());
+        drop(s);
+        t.reset_io_stats();
+        let (found, io) = t.distance_range_ctx(&q, 1e3, &L2, unlimited).unwrap();
+        assert_eq!(found.results().len(), t.len());
+        check("distance_range", io);
     }
 }

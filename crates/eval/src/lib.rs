@@ -27,10 +27,9 @@ mod scale;
 pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
 pub use report::FigureReport;
 pub use runner::{
-    build_engine, build_engine_cached, compare_box, compare_box_ctx, compare_distance,
-    compare_distance_ctx, run_batch, run_batch_governed, run_batch_parallel, run_box_queries,
-    run_box_queries_ctx, run_distance_queries, run_distance_queries_ctx, run_knn_stream, total_io,
-    BatchAnswer, BatchPolicy, BatchQuery, CompareRow, Engine, GovernedAnswer, QueryCost,
+    build_engine, build_engine_cached, compare_box, compare_distance, run_batch,
+    run_batch_governed, run_batch_parallel, run_box_queries, run_distance_queries, run_knn_stream,
+    total_io, BatchAnswer, BatchPolicy, BatchQuery, CompareRow, Engine, GovernedAnswer, QueryCost,
     QueryStatus,
 };
 pub use scale::Scale;

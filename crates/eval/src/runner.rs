@@ -4,10 +4,7 @@ use crate::admission::{AdmissionGate, Overloaded};
 use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_hbtree::{HbTree, HbTreeConfig};
-use hyt_index::{
-    CancelToken, DegradeReason, IndexError, IndexResult, Interrupt, MultidimIndex, QueryContext,
-    QueryOutcome,
-};
+use hyt_index::{CancelToken, DegradeReason, IndexError, IndexResult, MultidimIndex, QueryContext};
 
 use hyt_kdbtree::{KdbTree, KdbTreeConfig};
 use hyt_page::{IoStats, PageError, DEFAULT_PAGE_SIZE};
@@ -164,45 +161,13 @@ pub struct QueryCost {
     pub avg_results: f64,
 }
 
-/// Maps an engine's degrade reason back to the interrupt that caused it,
-/// so a per-query degradation inside a measurement loop can be re-raised
-/// and settled once at the workload level. `RetriesExhausted` never
-/// reaches here (only the governed batch runner produces it).
-fn reraise_degrade(reason: DegradeReason) -> IndexError {
-    let interrupt = match reason {
-        DegradeReason::Cancelled => Interrupt::Cancelled,
-        DegradeReason::DeadlineExceeded => Interrupt::DeadlineExceeded,
-        DegradeReason::BudgetExhausted | DegradeReason::RetriesExhausted => {
-            Interrupt::BudgetExhausted
-        }
-    };
-    IndexError::Storage(PageError::Interrupted(interrupt))
-}
-
 /// Runs box queries, returning per-query averages.
 pub fn run_box_queries(idx: &dyn MultidimIndex, queries: &[Rect]) -> IndexResult<QueryCost> {
-    run_box_queries_ctx(idx, queries, QueryContext::unlimited())
-}
-
-/// Governed [`run_box_queries`]: every page fetch is checked against
-/// `ctx`, so a deadline or cancel aborts the workload mid-query. The
-/// interrupt surfaces as [`PageError::Interrupted`] — measurement loops
-/// have no meaningful partial answer, so they re-raise instead of
-/// degrading.
-pub fn run_box_queries_ctx(
-    idx: &dyn MultidimIndex,
-    queries: &[Rect],
-    ctx: &QueryContext,
-) -> IndexResult<QueryCost> {
     idx.reset_io_stats();
     let mut results = 0usize;
     let start = Instant::now();
     for q in queries {
-        let (outcome, _) = idx.box_query_ctx(q, ctx)?;
-        match outcome.degrade_reason() {
-            None => results += outcome.into_results().len(),
-            Some(reason) => return Err(reraise_degrade(reason)),
-        }
+        results += idx.box_query(q)?.len();
     }
     let elapsed = start.elapsed();
     let stats = idx.io_stats();
@@ -220,26 +185,11 @@ pub fn run_distance_queries(
     radius: f64,
     metric: &dyn Metric,
 ) -> IndexResult<QueryCost> {
-    run_distance_queries_ctx(idx, centers, radius, metric, QueryContext::unlimited())
-}
-
-/// Governed [`run_distance_queries`]; see [`run_box_queries_ctx`].
-pub fn run_distance_queries_ctx(
-    idx: &dyn MultidimIndex,
-    centers: &[Point],
-    radius: f64,
-    metric: &dyn Metric,
-    ctx: &QueryContext,
-) -> IndexResult<QueryCost> {
     idx.reset_io_stats();
     let mut results = 0usize;
     let start = Instant::now();
     for c in centers {
-        let (outcome, _) = idx.distance_range_ctx(c, radius, metric, ctx)?;
-        match outcome.degrade_reason() {
-            None => results += outcome.into_results().len(),
-            Some(reason) => return Err(reraise_degrade(reason)),
-        }
+        results += idx.distance_range(c, radius, metric)?.len();
     }
     let elapsed = start.elapsed();
     let stats = idx.io_stats();
@@ -277,7 +227,7 @@ pub fn compare_box(
     data: &[Point],
     queries: &[Rect],
 ) -> IndexResult<Vec<CompareRow>> {
-    Ok(compare_box_ctx(engines, data, queries, QueryContext::unlimited())?.into_results())
+    compare_inner(engines, data, |idx| run_box_queries(idx, queries))
 }
 
 /// Distance-query variant of [`compare_box`]. Engines that do not
@@ -289,77 +239,12 @@ pub fn compare_distance(
     radius: f64,
     metric: &dyn Metric,
 ) -> IndexResult<Vec<CompareRow>> {
-    Ok(compare_distance_ctx(
-        engines,
-        data,
-        centers,
-        radius,
-        metric,
-        QueryContext::unlimited(),
-    )?
-    .into_results())
-}
-
-/// Governed [`compare_box`]: `ctx` is checked before each engine is
-/// built *and* at page-fetch granularity inside each engine's workload,
-/// so a figure driver stuck on one slow engine aborts cleanly. Returns
-/// `Degraded` carrying the rows measured so far.
-pub fn compare_box_ctx(
-    engines: &[Engine],
-    data: &[Point],
-    queries: &[Rect],
-    ctx: &QueryContext,
-) -> IndexResult<QueryOutcome<Vec<CompareRow>>> {
-    compare_inner_ctx(engines, data, ctx, |idx| {
-        run_box_queries_ctx(idx, queries, ctx)
+    compare_inner(engines, data, |idx| {
+        run_distance_queries(idx, centers, radius, metric)
     })
 }
 
-/// Governed [`compare_distance`]; see [`compare_box_ctx`].
-pub fn compare_distance_ctx(
-    engines: &[Engine],
-    data: &[Point],
-    centers: &[Point],
-    radius: f64,
-    metric: &dyn Metric,
-    ctx: &QueryContext,
-) -> IndexResult<QueryOutcome<Vec<CompareRow>>> {
-    compare_inner_ctx(engines, data, ctx, |idx| {
-        run_distance_queries_ctx(idx, centers, radius, metric, ctx)
-    })
-}
-
-/// Normalizes measured rows against the scan. On a degraded run the
-/// scan may not have been measured; its absence leaves the normalized
-/// columns `NaN` rather than inventing a baseline.
-fn normalize_rows(raw: Vec<(Engine, QueryCost, Duration)>, scan_pages: usize) -> Vec<CompareRow> {
-    let scan_cpu = raw
-        .iter()
-        .find(|(e, ..)| *e == Engine::Scan)
-        .map(|(_, c, _)| c.avg_cpu.as_secs_f64().max(1e-12));
-    raw.into_iter()
-        .map(|(e, c, build)| CompareRow {
-            engine: e.name(),
-            avg_accesses: c.avg_accesses,
-            avg_cpu: c.avg_cpu,
-            normalized_io: if scan_cpu.is_some() {
-                c.avg_accesses / scan_pages.max(1) as f64
-            } else {
-                f64::NAN
-            },
-            normalized_cpu: scan_cpu.map_or(f64::NAN, |s| c.avg_cpu.as_secs_f64() / s),
-            avg_results: c.avg_results,
-            build_time: build,
-        })
-        .collect()
-}
-
-fn compare_inner_ctx<F>(
-    engines: &[Engine],
-    data: &[Point],
-    ctx: &QueryContext,
-    mut run: F,
-) -> IndexResult<QueryOutcome<Vec<CompareRow>>>
+fn compare_inner<F>(engines: &[Engine], data: &[Point], mut run: F) -> IndexResult<Vec<CompareRow>>
 where
     F: FnMut(&dyn MultidimIndex) -> IndexResult<QueryCost>,
 {
@@ -370,33 +255,34 @@ where
     let mut raw: Vec<(Engine, QueryCost, Duration)> = Vec::new();
     let mut scan_pages = 0usize;
     for &e in &list {
-        if let Err(i) = ctx.check_interrupt() {
-            return Ok(QueryOutcome::degraded(
-                normalize_rows(raw, scan_pages),
-                i.into(),
-            ));
-        }
         let (idx, build) = build_engine(e, data)?;
         if e == Engine::Scan {
             // Recover the page count for normalization.
-            let st = idx.structure_stats()?;
-            scan_pages = st.total_nodes;
+            scan_pages = idx.structure_stats()?.total_nodes;
         }
         match run(idx.as_ref()) {
             Ok(cost) => raw.push((e, cost, build)),
             Err(IndexError::Unsupported(_)) => continue,
-            Err(err) => match err.interrupt() {
-                Some(i) => {
-                    return Ok(QueryOutcome::degraded(
-                        normalize_rows(raw, scan_pages),
-                        i.into(),
-                    ))
-                }
-                None => return Err(err),
-            },
+            Err(err) => return Err(err),
         }
     }
-    Ok(QueryOutcome::Complete(normalize_rows(raw, scan_pages)))
+    // The scan is always in the list and supports every query kind.
+    let scan_cpu = raw
+        .iter()
+        .find(|(e, ..)| *e == Engine::Scan)
+        .map_or(1e-12, |(_, c, _)| c.avg_cpu.as_secs_f64().max(1e-12));
+    Ok(raw
+        .into_iter()
+        .map(|(e, c, build)| CompareRow {
+            engine: e.name(),
+            avg_accesses: c.avg_accesses,
+            avg_cpu: c.avg_cpu,
+            normalized_io: c.avg_accesses / scan_pages.max(1) as f64,
+            normalized_cpu: c.avg_cpu.as_secs_f64() / scan_cpu,
+            avg_results: c.avg_results,
+            build_time: build,
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,9 @@
 //! an incremental distance-browsing cursor ([`KnnCursor`]). Engines
 //! implement the [`NodeExpand`] trait once: "given one node reference,
 //! read it (attributing I/O, honoring the [`QueryContext`]) and emit leaf
-//! entries and/or bounded children". Everything cross-cutting lives here:
+//! entries and/or bounded children". The trait has two expansion hooks,
+//! one for box queries and one ([`NodeExpand::expand_near`]) that range,
+//! kNN and the cursor all share. Everything cross-cutting lives here:
 //!
 //! * **Governance** — per-read admission happens inside the engines' pool
 //!   reads (unchanged from PR 3); this kernel owns the *settlement*: an
@@ -46,7 +48,7 @@ use hyt_page::IoStats;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
-/// What kind of node an [`NodeExpand::expand_box`] (or range/near) call
+/// What kind of node an [`NodeExpand::expand_box`] (or `expand_near`) call
 /// visited. `Leaf` triggers the result-cardinality cap check; a leaf may
 /// still emit children (the hB-tree's data-page redirects).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,24 +159,11 @@ pub trait NodeExpand {
         children: &mut Vec<Self::Ref>,
     ) -> IndexResult<NodeKind>;
 
-    /// Distance-range expansion: offer every entry of a data page to
-    /// `sink`, or emit children with squared lower bounds (the kernel
-    /// prunes against the query's comparator-space bound).
-    fn expand_range(
-        &self,
-        r: Self::Ref,
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<Self::Ref>>,
-    ) -> IndexResult<NodeKind>;
-
-    /// Nearest-neighbor expansion: same shape as
-    /// [`expand_range`](Self::expand_range), used by the best-first kNN
-    /// driver and the streaming cursor. Split out because an engine may
-    /// choose a different read path per query kind (the hybrid tree walks
-    /// range-query directory pages zero-copy but decodes them for kNN).
+    /// Distance-bounded expansion, shared by the range driver, the
+    /// best-first kNN driver and the streaming cursor: offer every entry
+    /// of a data page to `sink`, or emit children with squared lower
+    /// bounds (the kernel prunes against its comparator-space threshold,
+    /// [`NearQuery::prune_sq`]).
     fn expand_near(
         &self,
         r: Self::Ref,
@@ -288,7 +277,7 @@ pub fn run_distance_range<E: NodeExpand>(
             continue;
         }
         children.clear();
-        match ex.expand_range(
+        match ex.expand_near(
             r,
             NearQuery {
                 q,
@@ -862,18 +851,6 @@ mod tests {
             Ok(NodeKind::Leaf)
         }
 
-        fn expand_range(
-            &self,
-            r: usize,
-            nq: NearQuery<'_>,
-            io: &mut IoStats,
-            ctx: &QueryContext,
-            sink: &mut dyn EntrySink,
-            children: &mut Vec<Child<usize>>,
-        ) -> IndexResult<NodeKind> {
-            self.expand_near(r, nq, io, ctx, sink, children)
-        }
-
         fn expand_near(
             &self,
             r: usize,
@@ -1099,18 +1076,6 @@ mod tests {
             _children: &mut Vec<usize>,
         ) -> IndexResult<NodeKind> {
             Err(IndexError::Internal("box queries are not mocked".into()))
-        }
-
-        fn expand_range(
-            &self,
-            r: usize,
-            nq: NearQuery<'_>,
-            io: &mut IoStats,
-            ctx: &QueryContext,
-            sink: &mut dyn EntrySink,
-            children: &mut Vec<Child<usize>>,
-        ) -> IndexResult<NodeKind> {
-            self.expand_near(r, nq, io, ctx, sink, children)
         }
 
         fn expand_near(

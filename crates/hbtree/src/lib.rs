@@ -880,20 +880,6 @@ impl<S: Storage> NodeExpand for HbExpand<'_, S> {
         }
     }
 
-    fn expand_range(
-        &self,
-        _r: PageId,
-        _nq: NearQuery<'_>,
-        _io: &mut IoStats,
-        _ctx: &QueryContext,
-        _sink: &mut dyn EntrySink,
-        _children: &mut Vec<Child<PageId>>,
-    ) -> IndexResult<NodeKind> {
-        Err(IndexError::Unsupported(
-            "hB-tree does not support distance-based search (paper §4)",
-        ))
-    }
-
     fn expand_near(
         &self,
         _r: PageId,
@@ -1081,7 +1067,6 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
     }
 
     fn cache_stats(&self) -> NodeCacheStats {

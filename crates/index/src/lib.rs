@@ -418,7 +418,8 @@ pub trait MultidimIndex: Send + Sync {
     /// Pool-global I/O counters accumulated since the last reset.
     fn io_stats(&self) -> IoStats;
 
-    /// Resets the pool-global I/O counters.
+    /// Resets the pool-global I/O counters and the decoded-node cache
+    /// counters.
     fn reset_io_stats(&self);
 
     /// Decoded-node cache counters for this index's pool since the last

@@ -751,18 +751,6 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
         }
     }
 
-    fn expand_range(
-        &self,
-        r: (PageId, Rect),
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<(PageId, Rect)>>,
-    ) -> IndexResult<NodeKind> {
-        self.expand_near(r, nq, io, ctx, sink, children)
-    }
-
     fn expand_near(
         &self,
         (pid, region): (PageId, Rect),
@@ -922,7 +910,6 @@ impl<S: Storage> MultidimIndex for KdbTree<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
     }
 
     fn cache_stats(&self) -> NodeCacheStats {

@@ -23,10 +23,10 @@
 //!
 //! let ctx = QueryContext::default().with_max_reads(1);
 //! let mut io = IoStats::default();
-//! assert!(pool.read_tracked_ctx(a, &mut io, &ctx).is_ok());
+//! assert_eq!(pool.read_tracked_ctx_with(a, &mut io, &ctx, |b| b[0]).unwrap(), b'x');
 //! // The second fetch exceeds the budget and is denied, typed.
 //! assert!(matches!(
-//!     pool.read_tracked_ctx(a, &mut io, &ctx),
+//!     pool.read_tracked_ctx_with(a, &mut io, &ctx, |b| b[0]),
 //!     Err(PageError::Interrupted(i)) if i == hyt_page::Interrupt::BudgetExhausted
 //! ));
 //! ```

@@ -272,10 +272,11 @@ impl<S: Storage> BufferPool<S> {
         self.stats.snapshot()
     }
 
-    /// Resets the pool-global I/O counters (e.g. between build and query
-    /// phases).
+    /// Resets the pool-global I/O counters and the decoded-node cache's
+    /// counters (e.g. between build and query phases).
     pub fn reset_stats(&self) {
         self.stats.reset();
+        self.node_cache.reset_stats();
     }
 
     /// Allocates a new page.
@@ -408,8 +409,11 @@ impl<S: Storage> BufferPool<S> {
         self.read_with_impl(id, false, io, f)
     }
 
-    /// Governed variant of [`read_tracked_with`](Self::read_tracked_with)
-    /// (admission as in [`read_tracked_ctx`](Self::read_tracked_ctx)).
+    /// Governed variant of [`read_tracked_with`](Self::read_tracked_with):
+    /// asks `ctx` to admit one more fetch (cancel, deadline, read budget
+    /// against this query's own `io`) first. A denied fetch returns
+    /// [`PageError::Interrupted`] without touching the pool, so every
+    /// limit is observed at page-fetch granularity.
     pub fn read_tracked_ctx_with<R>(
         &self,
         id: PageId,
@@ -432,40 +436,7 @@ impl<S: Storage> BufferPool<S> {
     /// Reads a page through the sequential path (counted as one sequential
     /// access; used by the linear-scan baseline).
     pub fn read_sequential(&self, id: PageId) -> PageResult<Vec<u8>> {
-        self.read_sequential_tracked(id, &mut IoStats::default())
-    }
-
-    /// Sequential-path read attributed to `io` (see
-    /// [`read_tracked`](Self::read_tracked)).
-    pub fn read_sequential_tracked(&self, id: PageId, io: &mut IoStats) -> PageResult<Vec<u8>> {
-        self.read_impl(id, true, io)
-    }
-
-    /// Governed random read: asks `ctx` to admit one more fetch (cancel,
-    /// deadline, read budget against this query's own `io`) before going
-    /// to [`read_tracked`](Self::read_tracked). A denied fetch returns
-    /// [`PageError::Interrupted`] without touching the pool, so every
-    /// limit is observed at page-fetch granularity.
-    pub fn read_tracked_ctx(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-    ) -> PageResult<Vec<u8>> {
-        ctx.admit_read(io).map_err(PageError::Interrupted)?;
-        self.read_impl(id, false, io)
-    }
-
-    /// Governed sequential read (see
-    /// [`read_tracked_ctx`](Self::read_tracked_ctx)).
-    pub fn read_sequential_tracked_ctx(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-    ) -> PageResult<Vec<u8>> {
-        ctx.admit_read(io).map_err(PageError::Interrupted)?;
-        self.read_impl(id, true, io)
+        self.read_impl(id, true, &mut IoStats::default())
     }
 
     /// The decoded-node cache attached to this pool (disabled unless the
@@ -845,12 +816,16 @@ mod tests {
 
     #[test]
     fn reset_stats_clears_counters() {
-        let p = pool(2);
+        let p = BufferPool::with_node_cache(MemStorage::with_page_size(128), 2, 4);
         let a = p.allocate().unwrap();
         p.write(a, b"x").unwrap();
         p.read(a).unwrap();
+        p.read_decoded_tracked(a, &mut IoStats::default(), decode_first)
+            .unwrap();
+        assert_eq!(p.node_cache_stats().misses, 1);
         p.reset_stats();
         assert_eq!(p.stats(), IoStats::default());
+        assert_eq!(p.node_cache_stats(), NodeCacheStats::default());
     }
 
     #[test]

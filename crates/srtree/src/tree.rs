@@ -8,7 +8,7 @@ use hyt_index::{
     StructureStats,
 };
 use hyt_page::{
-    BufferPool, IoStats, MemStorage, NodeCacheStats, PageId, Storage, DEFAULT_PAGE_SIZE,
+    BufferPool, IoStats, MemStorage, NodeCacheStats, PageError, PageId, Storage, DEFAULT_PAGE_SIZE,
 };
 use std::sync::Arc;
 
@@ -249,7 +249,11 @@ impl<S: Storage> SrTree<S> {
                         a.1.total_cmp(&b.1)
                             .then(entries[a.0].radius.total_cmp(&entries[b.0].radius))
                     })
-                    .expect("index node with no entries");
+                    .ok_or_else(|| {
+                        IndexError::Storage(PageError::Corrupt(format!(
+                            "{pid}: index node with no entries"
+                        )))
+                    })?;
                 let child = entries[best].pid;
                 match self.insert_rec(child, p, oid)? {
                     InsertResult::Updated(e) => {
@@ -559,18 +563,6 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
         }
     }
 
-    fn expand_range(
-        &self,
-        pid: PageId,
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<PageId>>,
-    ) -> IndexResult<NodeKind> {
-        self.expand_near(pid, nq, io, ctx, sink, children)
-    }
-
     fn expand_near(
         &self,
         pid: PageId,
@@ -700,7 +692,6 @@ impl<S: Storage> MultidimIndex for SrTree<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
     }
 
     fn cache_stats(&self) -> NodeCacheStats {
@@ -778,6 +769,26 @@ mod tests {
             t.insert(p.clone(), i as u64).unwrap();
         }
         t
+    }
+
+    #[test]
+    fn insert_under_an_empty_index_root_is_corrupt() {
+        let mut t = build(&points(100, 3, 9));
+        assert_eq!(t.height(), 2, "a two-level tree");
+        let root = t.root;
+        t.write_node(
+            root,
+            &SrNode::Index {
+                level: 1,
+                entries: Vec::new(),
+            },
+        )
+        .unwrap();
+        let err = t.insert(Point::new(vec![0.5; 3]), 100).unwrap_err();
+        assert!(
+            matches!(err, IndexError::Storage(PageError::Corrupt(_))),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -23,11 +23,11 @@
 use crate::config::HybridTreeConfig;
 use crate::els::ElsTable;
 use crate::kdtree::{INTERNAL_BYTES, LEAF_BYTES};
-use crate::node::{data_capacity, DataEntry, Node, INDEX_HEADER_BYTES};
+use crate::node::{DataEntry, Node, DATA_FRAMING_BYTES, INDEX_HEADER_BYTES};
 use crate::split::build_kd;
 use crate::tree::HybridTree;
 use hyt_geom::{Point, Rect};
-use hyt_index::{IndexError, IndexResult};
+use hyt_index::{leaf, IndexError, IndexResult};
 use hyt_page::{BufferPool, MemStorage, PageId, Storage};
 
 impl HybridTree<MemStorage> {
@@ -72,7 +72,7 @@ impl<S: Storage> HybridTree<S> {
                 "storage/config page size mismatch".into(),
             ));
         }
-        let data_cap = data_capacity(cfg.page_size, dim);
+        let data_cap = leaf::capacity(cfg.page_size, DATA_FRAMING_BYTES, dim);
         if data_cap < 2 {
             return Err(IndexError::Internal(format!(
                 "page size {} cannot hold 2 entries of dimension {dim}",

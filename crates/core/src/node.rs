@@ -2,13 +2,15 @@
 
 use crate::kdtree::KdTree;
 use hyt_geom::Point;
+use hyt_index::leaf;
 use hyt_page::{ByteReader, ByteWriter, PageError, PageResult};
 
-const TAG_DATA: u8 = 0;
-const TAG_INDEX: u8 = 1;
+pub(crate) const TAG_DATA: u8 = 0;
+pub(crate) const TAG_INDEX: u8 = 1;
 
-/// Header bytes of a data node (tag + entry count).
-pub const DATA_HEADER_BYTES: usize = 1 + 4;
+/// Bytes a data node spends besides its rows (the node tag), for
+/// [`leaf::capacity`].
+pub const DATA_FRAMING_BYTES: usize = 1;
 /// Header bytes of an index node (tag + level).
 pub const INDEX_HEADER_BYTES: usize = 1 + 2;
 
@@ -19,16 +21,6 @@ pub struct DataEntry {
     pub point: Point,
     /// The caller-supplied object identifier.
     pub oid: u64,
-}
-
-/// Bytes one entry occupies on a page.
-pub fn entry_bytes(dim: usize) -> usize {
-    4 * dim + 8
-}
-
-/// Maximum entries a data node of `page_size` can hold.
-pub fn data_capacity(page_size: usize, dim: usize) -> usize {
-    page_size.saturating_sub(DATA_HEADER_BYTES) / entry_bytes(dim)
 }
 
 /// A deserialized hybrid tree node.
@@ -50,7 +42,7 @@ impl Node {
     /// Serialized size in bytes.
     pub fn encoded_size(&self, dim: usize) -> usize {
         match self {
-            Node::Data(entries) => DATA_HEADER_BYTES + entries.len() * entry_bytes(dim),
+            Node::Data(entries) => DATA_FRAMING_BYTES + leaf::encoded_len(entries.len(), dim),
             Node::Index { kd, .. } => INDEX_HEADER_BYTES + kd.encoded_size(),
         }
     }
@@ -61,14 +53,7 @@ impl Node {
         match self {
             Node::Data(entries) => {
                 w.put_u8(TAG_DATA);
-                w.put_u32(entries.len() as u32);
-                for e in entries {
-                    debug_assert_eq!(e.point.dim(), dim);
-                    for d in 0..dim {
-                        w.put_f32(e.point.coord(d));
-                    }
-                    w.put_u64(e.oid);
-                }
+                leaf::put_rows(&mut w, entries.iter().map(|e| (&e.point, e.oid)));
             }
             Node::Index { level, kd } => {
                 w.put_u8(TAG_INDEX);
@@ -83,28 +68,9 @@ impl Node {
     pub fn decode(buf: &[u8], dim: usize) -> PageResult<Self> {
         let mut r = ByteReader::new(buf);
         match r.get_u8()? {
-            TAG_DATA => {
-                let n = r.get_u32()? as usize;
-                if n * entry_bytes(dim) > r.remaining() {
-                    return Err(PageError::Corrupt(format!(
-                        "data node claims {n} entries, only {} bytes remain",
-                        r.remaining()
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut coords = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        coords.push(r.get_f32()?);
-                    }
-                    let oid = r.get_u64()?;
-                    entries.push(DataEntry {
-                        point: Point::new(coords),
-                        oid,
-                    });
-                }
-                Ok(Node::Data(entries))
-            }
+            TAG_DATA => Ok(Node::Data(leaf::get_rows(&mut r, dim, |point, oid| {
+                DataEntry { point, oid }
+            })?)),
             TAG_INDEX => {
                 let level = r.get_u16()?;
                 let kd = KdTree::decode(&mut r)?;
@@ -135,16 +101,6 @@ impl Node {
 mod tests {
     use super::*;
     use hyt_page::PageId;
-
-    #[test]
-    fn entry_size_matches_paper_arithmetic() {
-        // A 64-d entry: 64 * 4 bytes of coordinates + 8-byte oid.
-        assert_eq!(entry_bytes(64), 264);
-        // 4K page holds 15 such entries.
-        assert_eq!(data_capacity(4096, 64), 15);
-        // Fanout of data pages in low dimensions is much higher.
-        assert!(data_capacity(4096, 8) > 100);
-    }
 
     #[test]
     fn data_node_roundtrip() {
@@ -206,5 +162,33 @@ mod tests {
             kd: KdTree::leaf(PageId(0)),
         }
         .expect_data();
+    }
+
+    /// Two 2-d rows, `(0.5, -1.0)` with oid 7 and `(0.25, 2.0)` with oid
+    /// `0x0102030405060708`, as the leaf format lays them out: the row
+    /// count, then per row the little-endian `f32` coordinates and `u64`
+    /// oid.
+    const GOLDEN_ROWS: [u8; 36] = [
+        2, 0, 0, 0, //
+        0, 0, 0, 0x3f, 0, 0, 0x80, 0xbf, 7, 0, 0, 0, 0, 0, 0, 0, //
+        0, 0, 0x80, 0x3e, 0, 0, 0, 0x40, 8, 7, 6, 5, 4, 3, 2, 1,
+    ];
+
+    #[test]
+    fn data_page_bytes_are_unchanged() {
+        let n = Node::Data(vec![
+            DataEntry {
+                point: Point::new(vec![0.5, -1.0]),
+                oid: 7,
+            },
+            DataEntry {
+                point: Point::new(vec![0.25, 2.0]),
+                oid: 0x0102_0304_0506_0708,
+            },
+        ]);
+        let page = n.encode(2);
+        assert_eq!(page[0], TAG_DATA);
+        assert_eq!(page[1..], GOLDEN_ROWS);
+        assert_eq!(Node::decode(&page, 2).unwrap(), n);
     }
 }

@@ -44,10 +44,10 @@
 
 use crate::config::{HybridTreeConfig, QuerySizeDist, SplitPolicy};
 use crate::els::ElsTable;
-use crate::node::Node;
+use crate::node::{Node, DATA_FRAMING_BYTES};
 use crate::tree::HybridTree;
 use hyt_geom::{Point, Rect};
-use hyt_index::{IndexError, IndexResult};
+use hyt_index::{leaf, IndexError, IndexResult};
 use hyt_page::{
     crc32, BufferPool, ByteReader, ByteWriter, DurableStorage, PageError, PageId, Storage,
 };
@@ -368,7 +368,7 @@ impl HybridTree<DurableStorage> {
         match decode_els(catalog.els, storage.page_slots(), catalog.core.dim) {
             Ok(els) if !diverged => {
                 let core = catalog.core;
-                let data_cap = crate::node::data_capacity(core.cfg.page_size, core.dim);
+                let data_cap = leaf::capacity(core.cfg.page_size, DATA_FRAMING_BYTES, core.dim);
                 let data_min = ((core.cfg.min_fill * data_cap as f64).floor() as usize).max(1);
                 let pool = BufferPool::with_node_cache(
                     storage,
@@ -441,7 +441,7 @@ impl HybridTree<DurableStorage> {
                 storage.free(id)?;
             }
         }
-        let data_cap = crate::node::data_capacity(cfg.page_size, dim);
+        let data_cap = leaf::capacity(cfg.page_size, DATA_FRAMING_BYTES, dim);
         let data_min = ((cfg.min_fill * data_cap as f64).floor() as usize).max(1);
         let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
         let tree = Self::assemble(

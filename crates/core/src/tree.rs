@@ -3,13 +3,13 @@
 use crate::config::HybridTreeConfig;
 use crate::els::ElsTable;
 use crate::kdtree::KdTree;
-use crate::node::{data_capacity, DataEntry, Node, INDEX_HEADER_BYTES};
+use crate::node::{DataEntry, Node, DATA_FRAMING_BYTES, INDEX_HEADER_BYTES};
 use crate::split::{build_kd, split_data, split_index};
 use crate::view::NodeView;
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
+    check_dim, leaf, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
     StructureStats,
 };
 use hyt_page::{
@@ -87,7 +87,7 @@ impl<S: Storage> HybridTree<S> {
                 cfg.page_size
             )));
         }
-        let data_cap = data_capacity(cfg.page_size, dim);
+        let data_cap = leaf::capacity(cfg.page_size, DATA_FRAMING_BYTES, dim);
         if data_cap < 2 {
             return Err(IndexError::Internal(format!(
                 "page size {} cannot hold 2 entries of dimension {dim}",

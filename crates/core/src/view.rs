@@ -7,26 +7,26 @@
 //! the qualifying root-to-leaf paths. These views walk the *serialized*
 //! preorder form in place — the internal-node header stores the byte
 //! length of its left subtree, so skipping to the right child is O(1) —
-//! and data-node filtering reads coordinates straight out of the page
-//! with early exit on the first failing dimension.
+//! and data pages are filtered in place through the shared leaf format's
+//! [`LeafRows`], which reads coordinates straight out of the page with
+//! early exit on the first failing dimension.
 //!
 //! Mutating operations (insert, delete, splits) still use the owned
 //! [`KdTree`](crate::kdtree::KdTree)/[`Node`](crate::node::Node) forms.
 
 use crate::kdtree::{INTERNAL_BYTES, LEAF_BYTES};
-use crate::node::entry_bytes;
+use crate::node::{TAG_DATA, TAG_INDEX};
 use hyt_geom::{Point, Rect};
-use hyt_page::{PageError, PageId, PageResult};
+use hyt_index::leaf::LeafRows;
+use hyt_page::{ByteReader, PageError, PageId, PageResult};
 
-const TAG_DATA: u8 = 0;
-const TAG_INDEX: u8 = 1;
 const KD_LEAF: u8 = 0;
 const KD_INTERNAL: u8 = 1;
 
 /// A parsed-but-not-decoded node.
 pub enum NodeView<'a> {
-    /// A data page: raw entry bytes plus entry count.
-    Data(DataView<'a>),
+    /// A data page: its rows, read in place.
+    Data(LeafRows<'a>),
     /// An index page: raw kd-tree bytes.
     Index(KdView<'a>),
 }
@@ -35,24 +35,10 @@ impl<'a> NodeView<'a> {
     /// Classifies the page and wraps the payload.
     pub fn parse(buf: &'a [u8], dim: usize) -> PageResult<NodeView<'a>> {
         match buf.first() {
-            Some(&TAG_DATA) => {
-                if buf.len() < 5 {
-                    return Err(PageError::Corrupt("truncated data node".into()));
-                }
-                let count = u32::from_le_bytes(buf[1..5].try_into().unwrap()) as usize;
-                let need = 5 + count * entry_bytes(dim);
-                if buf.len() < need {
-                    return Err(PageError::Corrupt(format!(
-                        "data node claims {count} entries but page has {} bytes",
-                        buf.len()
-                    )));
-                }
-                Ok(NodeView::Data(DataView {
-                    entries: &buf[5..need],
-                    count,
-                    dim,
-                }))
-            }
+            Some(&TAG_DATA) => Ok(NodeView::Data(LeafRows::read(
+                &mut ByteReader::new(&buf[1..]),
+                dim,
+            )?)),
             Some(&TAG_INDEX) => {
                 if buf.len() < 3 {
                     return Err(PageError::Corrupt("truncated index node".into()));
@@ -61,63 +47,6 @@ impl<'a> NodeView<'a> {
             }
             Some(&t) => Err(PageError::Corrupt(format!("bad node tag {t}"))),
             None => Err(PageError::Corrupt("empty page".into())),
-        }
-    }
-}
-
-/// Zero-copy access to a data node's entries.
-pub struct DataView<'a> {
-    entries: &'a [u8],
-    count: usize,
-    dim: usize,
-}
-
-impl<'a> DataView<'a> {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    #[inline]
-    fn coord(&self, entry: usize, d: usize) -> f32 {
-        let off = entry * entry_bytes(self.dim) + 4 * d;
-        f32::from_le_bytes(self.entries[off..off + 4].try_into().unwrap())
-    }
-
-    #[inline]
-    fn oid(&self, entry: usize) -> u64 {
-        let off = entry * entry_bytes(self.dim) + 4 * self.dim;
-        u64::from_le_bytes(self.entries[off..off + 8].try_into().unwrap())
-    }
-
-    /// Appends the oids of entries inside `rect`, reading coordinates in
-    /// place with early exit on the first failing dimension.
-    pub fn filter_box(&self, rect: &Rect, out: &mut Vec<u64>) {
-        'entry: for i in 0..self.count {
-            for d in 0..self.dim {
-                let x = self.coord(i, d);
-                if x < rect.lo(d) || x > rect.hi(d) {
-                    continue 'entry;
-                }
-            }
-            out.push(self.oid(i));
-        }
-    }
-
-    /// Appends the oids of entries whose point equals `p` exactly.
-    pub fn filter_point(&self, p: &Point, out: &mut Vec<u64>) {
-        'entry: for i in 0..self.count {
-            for d in 0..self.dim {
-                if self.coord(i, d).to_bits() != p.coord(d).to_bits() {
-                    continue 'entry;
-                }
-            }
-            out.push(self.oid(i));
         }
     }
 }
@@ -238,7 +167,7 @@ impl<'a> KdView<'a> {
 mod tests {
     use super::*;
     use crate::kdtree::KdTree;
-    use crate::node::{DataEntry, Node};
+    use crate::node::Node;
 
     fn paper_kd() -> KdTree {
         KdTree::split(
@@ -313,27 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn data_view_filters_in_place() {
-        let entries: Vec<DataEntry> = (0..10)
-            .map(|i| DataEntry {
-                point: Point::new(vec![i as f32 / 10.0, 0.5]),
-                oid: i,
-            })
-            .collect();
-        let buf = Node::Data(entries).encode(2);
-        let NodeView::Data(view) = NodeView::parse(&buf, 2).unwrap() else {
-            panic!()
-        };
-        assert_eq!(view.len(), 10);
-        let mut out = Vec::new();
-        view.filter_box(&Rect::new(vec![0.25, 0.0], vec![0.65, 1.0]), &mut out);
-        assert_eq!(out, vec![3, 4, 5, 6]);
-        out.clear();
-        view.filter_point(&Point::new(vec![0.3, 0.5]), &mut out);
-        assert_eq!(out, vec![3]);
-    }
-
-    #[test]
     fn parse_rejects_garbage() {
         assert!(NodeView::parse(&[], 2).is_err());
         assert!(NodeView::parse(&[9, 0, 0], 2).is_err());
@@ -341,17 +249,5 @@ mod tests {
         let mut buf = vec![0u8; 5];
         buf[1..5].copy_from_slice(&1000u32.to_le_bytes());
         assert!(NodeView::parse(&buf, 2).is_err());
-    }
-
-    #[test]
-    fn empty_data_view() {
-        let buf = Node::Data(vec![]).encode(3);
-        let NodeView::Data(view) = NodeView::parse(&buf, 3).unwrap() else {
-            panic!()
-        };
-        assert!(view.is_empty());
-        let mut out = Vec::new();
-        view.filter_box(&Rect::unit(3), &mut out);
-        assert!(out.is_empty());
     }
 }

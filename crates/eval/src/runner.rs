@@ -323,38 +323,7 @@ fn run_one(
     metric: &dyn Metric,
     q: &BatchQuery,
 ) -> IndexResult<BatchAnswer> {
-    let ctx = QueryContext::unlimited();
-    match q {
-        BatchQuery::Box(rect) => {
-            let (outcome, io) = idx.box_query_ctx(rect, ctx)?;
-            let mut oids = outcome.into_results();
-            oids.sort_unstable();
-            Ok(BatchAnswer {
-                oids,
-                distances: Vec::new(),
-                io,
-            })
-        }
-        BatchQuery::Distance(center, radius) => {
-            let (outcome, io) = idx.distance_range_ctx(center, *radius, metric, ctx)?;
-            let mut oids = outcome.into_results();
-            oids.sort_unstable();
-            Ok(BatchAnswer {
-                oids,
-                distances: Vec::new(),
-                io,
-            })
-        }
-        BatchQuery::Knn(center, k) => {
-            let (outcome, io) = idx.knn_ctx(center, *k, metric, ctx)?;
-            let (oids, distances) = outcome.into_results().into_iter().unzip();
-            Ok(BatchAnswer {
-                oids,
-                distances,
-                io,
-            })
-        }
-    }
+    run_one_ctx(idx, metric, q, QueryContext::unlimited()).map(|got| got.answer)
 }
 
 /// Runs a batch serially, returning one answer per query in order.
@@ -379,15 +348,28 @@ pub fn run_batch_parallel(
     queries: &[BatchQuery],
     threads: usize,
 ) -> IndexResult<Vec<BatchAnswer>> {
+    fan_out(queries, threads, |q| run_one(idx, metric, q))
+}
+
+/// Runs `run` over `queries`: serially for one thread or fewer than two
+/// queries, otherwise on one scoped worker per contiguous chunk of
+/// `len.div_ceil(threads)` queries. Answers come back in submission
+/// order, and the first error in submission order wins.
+fn fan_out<T: Send>(
+    queries: &[BatchQuery],
+    threads: usize,
+    run: impl Fn(&BatchQuery) -> IndexResult<T> + Sync,
+) -> IndexResult<Vec<T>> {
     let threads = threads.max(1);
     if threads == 1 || queries.len() < 2 {
-        return run_batch(idx, metric, queries);
+        return queries.iter().map(run).collect();
     }
     let chunk = queries.len().div_ceil(threads);
-    let per_chunk: Vec<IndexResult<Vec<BatchAnswer>>> = std::thread::scope(|s| {
+    let run = &run;
+    let per_chunk: Vec<IndexResult<Vec<T>>> = std::thread::scope(|s| {
         let handles: Vec<_> = queries
             .chunks(chunk)
-            .map(|c| s.spawn(move || c.iter().map(|q| run_one(idx, metric, q)).collect()))
+            .map(|c| s.spawn(move || c.iter().map(run).collect()))
             .collect();
         handles
             .into_iter()
@@ -621,27 +603,7 @@ pub fn run_batch_governed(
         };
         run_one_governed(idx, metric, q, policy, deadline)
     };
-    let threads = threads.max(1);
-    if threads == 1 || queries.len() < 2 {
-        return queries.iter().map(run_gated).collect();
-    }
-    let chunk = queries.len().div_ceil(threads);
-    let run_gated = &run_gated;
-    let per_chunk: Vec<IndexResult<Vec<GovernedAnswer>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|c| s.spawn(move || c.iter().map(run_gated).collect()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(queries.len());
-    for chunk_answers in per_chunk {
-        out.extend(chunk_answers?);
-    }
-    Ok(out)
+    fan_out(queries, threads, run_gated)
 }
 
 /// Drains an engine's streaming kNN cursor (distance browsing) and

@@ -22,13 +22,23 @@ impl Point {
     /// coordinates, so they are rejected at the boundary.
     pub fn new(coords: Vec<Coord>) -> Self {
         assert!(!coords.is_empty(), "points must have at least 1 dimension");
-        assert!(
-            coords.iter().all(|c| c.is_finite()),
-            "point coordinates must be finite"
-        );
-        Self {
-            coords: coords.into_boxed_slice(),
+        match Self::try_new(coords) {
+            Some(p) => p,
+            None => panic!("point coordinates must be finite"),
         }
+    }
+
+    /// Creates a point from a coordinate vector, or `None` if `coords` is
+    /// empty or contains a non-finite value: the checks of
+    /// [`Point::new`] for input that is data, not a caller's promise
+    /// (page bytes, parsed text).
+    pub fn try_new(coords: Vec<Coord>) -> Option<Self> {
+        if coords.is_empty() || !coords.iter().all(|c| c.is_finite()) {
+            return None;
+        }
+        Some(Self {
+            coords: coords.into_boxed_slice(),
+        })
     }
 
     /// The dimensionality `k` of the point.

@@ -33,7 +33,8 @@
 use hyt_exec::{Child, EntrySink, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, MultidimIndex, QueryContext, QueryOutcome, StructureStats,
+    check_dim, leaf, IndexError, IndexResult, MultidimIndex, QueryContext, QueryOutcome,
+    StructureStats,
 };
 use hyt_page::{
     BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, NodeCacheStats, PageError, PageId,
@@ -43,6 +44,9 @@ use std::collections::HashSet;
 
 const TAG_DATA: u8 = 0;
 const TAG_INDEX: u8 = 1;
+/// Bytes a data node spends besides its rows: the node tag and the
+/// redirect count. The redirects themselves get no reserved space.
+const DATA_FRAMING_BYTES: usize = 1 + 2;
 const KD_CHILD: u8 = 0;
 const KD_INTERNAL: u8 = 1;
 const KD_SIBLING: u8 = 2;
@@ -317,8 +321,8 @@ impl HbNode {
     fn encoded_size(&self, dim: usize) -> usize {
         match self {
             HbNode::Data { entries, redirects } => {
-                5 + entries.len() * (4 * dim + 8)
-                    + 2
+                DATA_FRAMING_BYTES
+                    + leaf::encoded_len(entries.len(), dim)
                     + redirects.iter().map(Redirect::encoded_size).sum::<usize>()
             }
             HbNode::Index { kd, .. } => 3 + kd.encoded_size(),
@@ -330,13 +334,7 @@ impl HbNode {
         match self {
             HbNode::Data { entries, redirects } => {
                 w.put_u8(TAG_DATA);
-                w.put_u32(entries.len() as u32);
-                for (p, oid) in entries {
-                    for d in 0..dim {
-                        w.put_f32(p.coord(d));
-                    }
-                    w.put_u64(*oid);
-                }
+                leaf::put_rows(&mut w, entries.iter().map(|(p, oid)| (p, *oid)));
                 w.put_u16(redirects.len() as u16);
                 for r in redirects {
                     w.put_u8(r.constraints.len() as u8);
@@ -359,21 +357,7 @@ impl HbNode {
         let mut r = ByteReader::new(buf);
         match r.get_u8()? {
             TAG_DATA => {
-                let n = r.get_u32()? as usize;
-                if n * (4 * dim + 8) > r.remaining() {
-                    return Err(PageError::Corrupt(format!(
-                        "hB data node claims {n} entries beyond the page"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut c = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        c.push(r.get_f32()?);
-                    }
-                    let oid = r.get_u64()?;
-                    entries.push((Point::new(c), oid));
-                }
+                let entries = leaf::get_rows(&mut r, dim, |p, oid| (p, oid))?;
                 let nr = r.get_u16()? as usize;
                 let mut redirects = Vec::with_capacity(nr);
                 for _ in 0..nr {
@@ -471,7 +455,7 @@ impl<S: Storage> HbTree<S> {
                 "storage/config page size mismatch".into(),
             ));
         }
-        let data_cap = (cfg.page_size.saturating_sub(7)) / (4 * dim + 8);
+        let data_cap = leaf::capacity(cfg.page_size, DATA_FRAMING_BYTES, dim);
         if data_cap < 3 {
             return Err(IndexError::Internal(format!(
                 "page size {} too small for dimension {dim} (need 3 entries for 1/3 splits)",
@@ -928,13 +912,12 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
             }
             let old_root = self.root;
             let mut kd = Kd::Child(old_root);
-            let mut remaining = posts.into_iter();
-            let first = remaining.next().unwrap();
-            let grafted = Self::graft(&mut kd, old_root, &first);
-            debug_assert!(grafted);
             let mut dropped = 0;
-            for post in remaining {
-                if !Self::graft(&mut kd, old_root, &post) {
+            for (i, post) in posts.into_iter().enumerate() {
+                let grafted = Self::graft(&mut kd, old_root, &post);
+                // The first post always grafts onto the fresh root.
+                debug_assert!(grafted || i > 0);
+                if !grafted {
                     dropped += 1;
                 }
             }
@@ -1331,5 +1314,90 @@ mod tests {
             .collect();
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    /// Two 2-d rows, `(0.5, -1.0)` with oid 7 and `(0.25, 2.0)` with oid
+    /// `0x0102030405060708`, as the leaf format lays them out: the row
+    /// count, then per row the little-endian `f32` coordinates and `u64`
+    /// oid.
+    const GOLDEN_ROWS: [u8; 36] = [
+        2, 0, 0, 0, //
+        0, 0, 0, 0x3f, 0, 0, 0x80, 0xbf, 7, 0, 0, 0, 0, 0, 0, 0, //
+        0, 0, 0x80, 0x3e, 0, 0, 0, 0x40, 8, 7, 6, 5, 4, 3, 2, 1,
+    ];
+
+    fn golden_entries() -> Vec<(Point, u64)> {
+        vec![
+            (Point::new(vec![0.5, -1.0]), 7),
+            (Point::new(vec![0.25, 2.0]), 0x0102_0304_0506_0708),
+        ]
+    }
+
+    /// `page` with the second row's first coordinate replaced by `bad`.
+    fn with_bad_coord(mut page: Vec<u8>, rows_at: usize, bad: f32) -> Vec<u8> {
+        let at = rows_at + 4 + 16;
+        page[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+        page
+    }
+
+    fn golden_node() -> HbNode {
+        HbNode::Data {
+            entries: golden_entries(),
+            redirects: vec![Redirect {
+                constraints: vec![Constraint {
+                    dim: 1,
+                    pos: 0.5,
+                    side: Side::Upper,
+                }],
+                target: PageId(9),
+            }],
+        }
+    }
+
+    #[test]
+    fn leaf_page_bytes_are_unchanged() {
+        let page = golden_node().encode(2);
+        assert_eq!(page[0], TAG_DATA);
+        assert_eq!(page[1..37], GOLDEN_ROWS);
+        // The redirects follow the rows: count, then per redirect the
+        // constraint count, each constraint, and the target page.
+        assert_eq!(page[37..], [1, 0, 1, 1, 0, 0, 0, 0, 0x3f, 1, 9, 0, 0, 0]);
+        assert_eq!(page.len(), golden_node().encoded_size(2));
+        let Ok(HbNode::Data { entries, redirects }) = HbNode::decode(&page, 2) else {
+            panic!("golden leaf did not decode");
+        };
+        assert_eq!(entries, golden_entries());
+        assert_eq!(redirects.len(), 1);
+        assert_eq!(redirects[0].target, PageId(9));
+        assert_eq!(redirects[0].constraints[0].pos, 0.5);
+    }
+
+    #[test]
+    fn leaf_with_a_non_finite_coordinate_is_corrupt() {
+        let page = golden_node().encode(2);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(matches!(
+                HbNode::decode(&with_bad_coord(page.clone(), 1, bad), 2),
+                Err(PageError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn leaf_count_past_the_page_is_corrupt() {
+        let mut page = golden_node().encode(2);
+        page[1] = 4;
+        assert!(matches!(
+            HbNode::decode(&page, 2),
+            Err(PageError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn data_capacity_is_the_leaf_formula() {
+        // 4 KiB pages, tag + count + redirect count + 64-d rows of 264
+        // bytes.
+        let t = HbTree::new(64, HbTreeConfig::default()).unwrap();
+        assert_eq!(t.data_cap, 15);
     }
 }

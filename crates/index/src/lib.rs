@@ -10,6 +10,8 @@ use hyt_geom::{Metric, Point, Rect};
 use hyt_page::{IoStats, PageError};
 use std::fmt;
 
+pub mod leaf;
+
 pub use hyt_page::{CancelToken, Interrupt, NodeCacheStats, QueryContext};
 
 /// Errors surfaced by index operations.

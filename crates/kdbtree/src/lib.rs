@@ -25,7 +25,7 @@
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
+    check_dim, leaf, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
     StructureStats,
 };
 use hyt_page::{
@@ -37,6 +37,8 @@ use std::sync::Arc;
 
 const TAG_DATA: u8 = 0;
 const TAG_INDEX: u8 = 1;
+/// Bytes a data node spends besides its rows (the node tag).
+const DATA_FRAMING_BYTES: usize = 1;
 const KD_LEAF: u8 = 0;
 const KD_INTERNAL: u8 = 1;
 
@@ -203,7 +205,7 @@ enum KdbNode {
 impl KdbNode {
     fn encoded_size(&self, dim: usize) -> usize {
         match self {
-            KdbNode::Data(e) => 5 + e.len() * (4 * dim + 8),
+            KdbNode::Data(e) => DATA_FRAMING_BYTES + leaf::encoded_len(e.len(), dim),
             KdbNode::Index { kd, .. } => 3 + kd.encoded_size(),
         }
     }
@@ -213,13 +215,7 @@ impl KdbNode {
         match self {
             KdbNode::Data(entries) => {
                 w.put_u8(TAG_DATA);
-                w.put_u32(entries.len() as u32);
-                for (p, oid) in entries {
-                    for d in 0..dim {
-                        w.put_f32(p.coord(d));
-                    }
-                    w.put_u64(*oid);
-                }
+                leaf::put_rows(&mut w, entries.iter().map(|(p, oid)| (p, *oid)));
             }
             KdbNode::Index { level, kd } => {
                 w.put_u8(TAG_INDEX);
@@ -233,24 +229,9 @@ impl KdbNode {
     fn decode(buf: &[u8], dim: usize) -> PageResult<Self> {
         let mut r = ByteReader::new(buf);
         match r.get_u8()? {
-            TAG_DATA => {
-                let n = r.get_u32()? as usize;
-                if n * (4 * dim + 8) > r.remaining() {
-                    return Err(PageError::Corrupt(format!(
-                        "kdb data node claims {n} entries beyond the page"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut c = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        c.push(r.get_f32()?);
-                    }
-                    let oid = r.get_u64()?;
-                    entries.push((Point::new(c), oid));
-                }
-                Ok(KdbNode::Data(entries))
-            }
+            TAG_DATA => Ok(KdbNode::Data(leaf::get_rows(&mut r, dim, |p, oid| {
+                (p, oid)
+            })?)),
             TAG_INDEX => {
                 let level = r.get_u16()?;
                 let kd = Kd::decode(&mut r)?;
@@ -324,7 +305,7 @@ impl<S: Storage> KdbTree<S> {
                 "storage/config page size mismatch".into(),
             ));
         }
-        let data_cap = (cfg.page_size - 5) / (4 * dim + 8);
+        let data_cap = leaf::capacity(cfg.page_size, DATA_FRAMING_BYTES, dim);
         if data_cap < 2 {
             return Err(IndexError::Internal(format!(
                 "page size {} too small for dimension {dim}",
@@ -477,7 +458,7 @@ impl<S: Storage> KdbTree<S> {
                 right,
             } => {
                 if kdim == dim {
-                    match kpos.partial_cmp(&pos).unwrap() {
+                    match kpos.total_cmp(&pos) {
                         Ordering::Equal => Ok((Some(*left), Some(*right))),
                         Ordering::Less => {
                             let (rl, rr) =
@@ -1112,5 +1093,69 @@ mod tests {
         let st = t.structure_stats().unwrap();
         assert!(st.data_nodes > 2);
         assert!(st.avg_leaf_utilization > 0.0);
+    }
+
+    /// Two 2-d rows, `(0.5, -1.0)` with oid 7 and `(0.25, 2.0)` with oid
+    /// `0x0102030405060708`, as the leaf format lays them out: the row
+    /// count, then per row the little-endian `f32` coordinates and `u64`
+    /// oid.
+    const GOLDEN_ROWS: [u8; 36] = [
+        2, 0, 0, 0, //
+        0, 0, 0, 0x3f, 0, 0, 0x80, 0xbf, 7, 0, 0, 0, 0, 0, 0, 0, //
+        0, 0, 0x80, 0x3e, 0, 0, 0, 0x40, 8, 7, 6, 5, 4, 3, 2, 1,
+    ];
+
+    fn golden_entries() -> Vec<(Point, u64)> {
+        vec![
+            (Point::new(vec![0.5, -1.0]), 7),
+            (Point::new(vec![0.25, 2.0]), 0x0102_0304_0506_0708),
+        ]
+    }
+
+    /// `page` with the second row's first coordinate replaced by `bad`.
+    fn with_bad_coord(mut page: Vec<u8>, rows_at: usize, bad: f32) -> Vec<u8> {
+        let at = rows_at + 4 + 16;
+        page[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+        page
+    }
+
+    #[test]
+    fn leaf_page_bytes_are_unchanged() {
+        let page = KdbNode::Data(golden_entries()).encode(2);
+        assert_eq!(page[0], TAG_DATA);
+        assert_eq!(page[1..], GOLDEN_ROWS);
+        assert_eq!(page.len(), KdbNode::Data(golden_entries()).encoded_size(2));
+        let Ok(KdbNode::Data(rows)) = KdbNode::decode(&page, 2) else {
+            panic!("golden leaf did not decode");
+        };
+        assert_eq!(rows, golden_entries());
+    }
+
+    #[test]
+    fn leaf_with_a_non_finite_coordinate_is_corrupt() {
+        let page = KdbNode::Data(golden_entries()).encode(2);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(matches!(
+                KdbNode::decode(&with_bad_coord(page.clone(), 1, bad), 2),
+                Err(PageError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn leaf_count_past_the_page_is_corrupt() {
+        let mut page = KdbNode::Data(golden_entries()).encode(2);
+        page[1] = 3;
+        assert!(matches!(
+            KdbNode::decode(&page, 2),
+            Err(PageError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn data_capacity_is_the_leaf_formula() {
+        // 4 KiB pages, tag + count + 64-d rows of 264 bytes.
+        let t = KdbTree::new(64, KdbTreeConfig::default()).unwrap();
+        assert_eq!(t.data_cap, 15);
     }
 }

@@ -10,17 +10,12 @@
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome, StructureStats,
+    check_dim, leaf, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
+    StructureStats,
 };
 use hyt_page::{
     BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, NodeCacheStats, PageId, Storage,
 };
-
-/// Entries per page given the page and entry sizes.
-fn capacity(page_size: usize, dim: usize) -> usize {
-    // Per-page header: u32 count.
-    (page_size - 4) / (4 * dim + 8)
-}
 
 /// A flat file of `(point, oid)` records scanned in page order.
 pub struct SeqScan<S: Storage = MemStorage> {
@@ -71,7 +66,8 @@ impl<S: Storage> SeqScan<S> {
         storage: S,
         node_cache_entries: usize,
     ) -> IndexResult<Self> {
-        let cap = capacity(storage.page_size(), dim);
+        // A scan page is the bare rows: no tag, no trailer.
+        let cap = leaf::capacity(storage.page_size(), 0, dim);
         if cap == 0 {
             return Err(hyt_index::IndexError::Internal(format!(
                 "page size {} cannot hold a {dim}-d entry",
@@ -94,36 +90,16 @@ impl<S: Storage> SeqScan<S> {
     }
 
     fn decode_page(&self, buf: &[u8]) -> IndexResult<Vec<(Point, u64)>> {
-        let mut r = ByteReader::new(buf);
-        let n = r.get_u32()? as usize;
-        if n * (4 * self.dim + 8) > r.remaining() {
-            return Err(hyt_index::IndexError::Storage(
-                hyt_page::PageError::Corrupt(format!(
-                    "scan page claims {n} entries beyond the page"
-                )),
-            ));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut coords = Vec::with_capacity(self.dim);
-            for _ in 0..self.dim {
-                coords.push(r.get_f32()?);
-            }
-            let oid = r.get_u64()?;
-            out.push((Point::new(coords), oid));
-        }
-        Ok(out)
+        Ok(leaf::get_rows(
+            &mut ByteReader::new(buf),
+            self.dim,
+            |p, oid| (p, oid),
+        )?)
     }
 
     fn encode_page(&self, entries: &[(Point, u64)]) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(4 + entries.len() * (4 * self.dim + 8));
-        w.put_u32(entries.len() as u32);
-        for (p, oid) in entries {
-            for d in 0..self.dim {
-                w.put_f32(p.coord(d));
-            }
-            w.put_u64(*oid);
-        }
+        let mut w = ByteWriter::with_capacity(leaf::encoded_len(entries.len(), self.dim));
+        leaf::put_rows(&mut w, entries.iter().map(|(p, oid)| (p, *oid)));
         w.into_inner()
     }
 
@@ -429,5 +405,70 @@ mod tests {
         let st = s.structure_stats().unwrap();
         assert_eq!(st.total_nodes, s.num_pages());
         assert!(st.avg_leaf_utilization > 0.5);
+    }
+
+    /// Two 2-d rows, `(0.5, -1.0)` with oid 7 and `(0.25, 2.0)` with oid
+    /// `0x0102030405060708`, as the leaf format lays them out: the row
+    /// count, then per row the little-endian `f32` coordinates and `u64`
+    /// oid.
+    const GOLDEN_ROWS: [u8; 36] = [
+        2, 0, 0, 0, //
+        0, 0, 0, 0x3f, 0, 0, 0x80, 0xbf, 7, 0, 0, 0, 0, 0, 0, 0, //
+        0, 0, 0x80, 0x3e, 0, 0, 0, 0x40, 8, 7, 6, 5, 4, 3, 2, 1,
+    ];
+
+    fn golden_entries() -> Vec<(Point, u64)> {
+        vec![
+            (Point::new(vec![0.5, -1.0]), 7),
+            (Point::new(vec![0.25, 2.0]), 0x0102_0304_0506_0708),
+        ]
+    }
+
+    /// `page` with the second row's first coordinate replaced by `bad`.
+    fn with_bad_coord(mut page: Vec<u8>, rows_at: usize, bad: f32) -> Vec<u8> {
+        let at = rows_at + 4 + 16;
+        page[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+        page
+    }
+
+    #[test]
+    fn leaf_page_bytes_are_unchanged() {
+        let s = SeqScan::new(2).unwrap();
+        let page = s.encode_page(&golden_entries());
+        assert_eq!(page, GOLDEN_ROWS);
+        assert_eq!(s.decode_page(&page).unwrap(), golden_entries());
+    }
+
+    #[test]
+    fn leaf_with_a_non_finite_coordinate_is_corrupt() {
+        let s = SeqScan::new(2).unwrap();
+        let page = s.encode_page(&golden_entries());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(matches!(
+                s.decode_page(&with_bad_coord(page.clone(), 0, bad)),
+                Err(hyt_index::IndexError::Storage(
+                    hyt_page::PageError::Corrupt(_)
+                ))
+            ));
+        }
+    }
+
+    #[test]
+    fn leaf_count_past_the_page_is_corrupt() {
+        let s = SeqScan::new(2).unwrap();
+        let mut page = s.encode_page(&golden_entries());
+        page[0] = 3;
+        assert!(matches!(
+            s.decode_page(&page),
+            Err(hyt_index::IndexError::Storage(
+                hyt_page::PageError::Corrupt(_)
+            ))
+        ));
+    }
+
+    #[test]
+    fn page_capacity_is_the_leaf_formula() {
+        // 4 KiB pages, count + 64-d rows of 264 bytes: 4092 / 264.
+        assert_eq!(SeqScan::new(64).unwrap().cap, 15);
     }
 }

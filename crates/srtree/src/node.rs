@@ -1,32 +1,24 @@
 //! On-page formats of the SR-tree.
 
 use hyt_geom::{Point, Rect};
+use hyt_index::leaf;
 use hyt_page::{ByteReader, ByteWriter, PageError, PageId, PageResult};
 
 const TAG_DATA: u8 = 0;
 const TAG_INDEX: u8 = 1;
 
-/// Header of a data node (tag + count).
-pub const DATA_HEADER_BYTES: usize = 1 + 4;
+/// Bytes a data node spends besides its rows (the node tag), for
+/// [`leaf::capacity`].
+pub const DATA_FRAMING_BYTES: usize = 1;
 /// Header of an index node (tag + level + count).
 pub const INDEX_HEADER_BYTES: usize = 1 + 2 + 4;
-
-/// Bytes per data entry.
-pub fn data_entry_bytes(dim: usize) -> usize {
-    4 * dim + 8
-}
 
 /// Bytes per index entry: page id, weight, radius, centroid, rectangle.
 ///
 /// This is the SR-tree's `O(k)` per-entry overhead — `12k + 12` bytes —
 /// which caps the fanout of a 4 KiB page at ~5 children in 64 dimensions.
 pub fn index_entry_bytes(dim: usize) -> usize {
-    4 + 4 + 4 + 4 * dim + 8 * dim
-}
-
-/// Data entries a page can hold.
-pub fn data_capacity(page_size: usize, dim: usize) -> usize {
-    page_size.saturating_sub(DATA_HEADER_BYTES) / data_entry_bytes(dim)
+    4 + 4 + 4 + 4 * dim + 2 * 4 * dim
 }
 
 /// Index entries a page can hold.
@@ -68,7 +60,7 @@ impl SrNode {
     /// Serialized size in bytes.
     pub fn encoded_size(&self, dim: usize) -> usize {
         match self {
-            SrNode::Data(e) => DATA_HEADER_BYTES + e.len() * data_entry_bytes(dim),
+            SrNode::Data(e) => DATA_FRAMING_BYTES + leaf::encoded_len(e.len(), dim),
             SrNode::Index { entries, .. } => {
                 INDEX_HEADER_BYTES + entries.len() * index_entry_bytes(dim)
             }
@@ -81,13 +73,7 @@ impl SrNode {
         match self {
             SrNode::Data(entries) => {
                 w.put_u8(TAG_DATA);
-                w.put_u32(entries.len() as u32);
-                for (p, oid) in entries {
-                    for d in 0..dim {
-                        w.put_f32(p.coord(d));
-                    }
-                    w.put_u64(*oid);
-                }
+                leaf::put_rows(&mut w, entries.iter().map(|(p, oid)| (p, *oid)));
             }
             SrNode::Index { level, entries } => {
                 w.put_u8(TAG_INDEX);
@@ -116,24 +102,9 @@ impl SrNode {
     pub fn decode(buf: &[u8], dim: usize) -> PageResult<Self> {
         let mut r = ByteReader::new(buf);
         match r.get_u8()? {
-            TAG_DATA => {
-                let n = r.get_u32()? as usize;
-                if n * data_entry_bytes(dim) > r.remaining() {
-                    return Err(PageError::Corrupt(format!(
-                        "SR data node claims {n} entries beyond the page"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut coords = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        coords.push(r.get_f32()?);
-                    }
-                    let oid = r.get_u64()?;
-                    entries.push((Point::new(coords), oid));
-                }
-                Ok(SrNode::Data(entries))
-            }
+            TAG_DATA => Ok(SrNode::Data(leaf::get_rows(&mut r, dim, |p, oid| {
+                (p, oid)
+            })?)),
             TAG_INDEX => {
                 let level = r.get_u16()?;
                 let n = r.get_u32()? as usize;
@@ -218,5 +189,28 @@ mod tests {
     #[test]
     fn decode_rejects_bad_tag() {
         assert!(SrNode::decode(&[42u8, 0, 0, 0, 0], 2).is_err());
+    }
+
+    /// Two 2-d rows, `(0.5, -1.0)` with oid 7 and `(0.25, 2.0)` with oid
+    /// `0x0102030405060708`, as the leaf format lays them out: the row
+    /// count, then per row the little-endian `f32` coordinates and `u64`
+    /// oid.
+    const GOLDEN_ROWS: [u8; 36] = [
+        2, 0, 0, 0, //
+        0, 0, 0, 0x3f, 0, 0, 0x80, 0xbf, 7, 0, 0, 0, 0, 0, 0, 0, //
+        0, 0, 0x80, 0x3e, 0, 0, 0, 0x40, 8, 7, 6, 5, 4, 3, 2, 1,
+    ];
+
+    #[test]
+    fn data_page_bytes_are_unchanged() {
+        let n = SrNode::Data(vec![
+            (Point::new(vec![0.5, -1.0]), 7),
+            (Point::new(vec![0.25, 2.0]), 0x0102_0304_0506_0708),
+        ]);
+        let page = n.encode(2);
+        assert_eq!(page[0], TAG_DATA);
+        assert_eq!(page[1..], GOLDEN_ROWS);
+        assert_eq!(page.len(), n.encoded_size(2));
+        assert_eq!(SrNode::decode(&page, 2).unwrap(), n);
     }
 }

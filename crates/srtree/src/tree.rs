@@ -1,10 +1,10 @@
 //! SR-tree operations.
 
-use crate::node::{data_capacity, index_capacity, ChildEntry, SrNode};
+use crate::node::{index_capacity, ChildEntry, SrNode, DATA_FRAMING_BYTES};
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Metric, Point, Rect, L2};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
+    check_dim, leaf, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
     StructureStats,
 };
 use hyt_page::{
@@ -81,7 +81,7 @@ impl<S: Storage> SrTree<S> {
                 "storage/config page size mismatch".into(),
             ));
         }
-        let data_cap = data_capacity(cfg.page_size, dim);
+        let data_cap = leaf::capacity(cfg.page_size, DATA_FRAMING_BYTES, dim);
         let index_cap = index_capacity(cfg.page_size, dim);
         if data_cap < 2 || index_cap < 2 {
             return Err(IndexError::Internal(format!(

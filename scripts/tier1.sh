@@ -10,8 +10,8 @@ cargo fmt --check
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy hyt-page + hyt-exec + hyt-geom + hyt-index + hyt-scan + hyt-srtree (read paths, the traversal kernel, the distance kernels and the scan and SR-tree engines must be panic-free: unwrap/expect denied)"
-cargo clippy -p hyt-page -p hyt-exec -p hyt-geom -p hyt-index -p hyt-scan -p hyt-srtree --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+echo "== cargo clippy hyt-page + hyt-exec + hyt-geom + hyt-index + hyt-scan + hyt-srtree + hyt-kdbtree + hyt-hbtree (read paths, the traversal kernel, the distance kernels, the shared leaf format and the scan, SR-tree, kDB-tree and hB-tree engines must be panic-free: unwrap/expect denied)"
+cargo clippy -p hyt-page -p hyt-exec -p hyt-geom -p hyt-index -p hyt-scan -p hyt-srtree -p hyt-kdbtree -p hyt-hbtree --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== cargo clippy hyt-exec (the shared traversal kernel: warnings are errors)"
 cargo clippy -p hyt-exec --all-targets -- -D warnings

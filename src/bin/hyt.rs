@@ -160,10 +160,10 @@ fn opt_parse<T: std::str::FromStr>(
 
 fn parse_vector(s: &str) -> Result<Vec<f32>, String> {
     s.split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("bad coordinate `{t}`"))
+        .map(|t| match t.trim().parse::<f32>() {
+            Ok(c) if c.is_finite() => Ok(c),
+            Ok(_) => Err(format!("non-finite coordinate `{t}`")),
+            Err(_) => Err(format!("bad coordinate `{t}`")),
         })
         .collect()
 }

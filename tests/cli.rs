@@ -188,3 +188,108 @@ fn cli_reports_usage_on_bad_input() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+/// A directory of its own for one test, so no other test's cleanup
+/// removes it.
+fn own_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hyt_cli_{name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Builds a three-vector 2-d index in `dir`; returns its page file and
+/// catalog paths.
+fn small_index(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+    let csv = dir.join("vectors.csv");
+    std::fs::write(&csv, "0.1,0.2\n0.3,0.4\n0.5,0.6\n").unwrap();
+    let (pages, meta) = (dir.join("db.pages"), dir.join("db.meta"));
+    let out = hyt()
+        .args(["build", "--input"])
+        .arg(&csv)
+        .arg("--index")
+        .arg(&pages)
+        .arg("--meta")
+        .arg(&meta)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (pages, meta)
+}
+
+/// The command must fail on the CLI's error path (exit 1 with a message),
+/// not panic (exit 101), when given a non-finite coordinate.
+fn assert_rejects_non_finite(cmd: &mut Command) {
+    let out = cmd.output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("non-finite coordinate"), "{err}");
+}
+
+#[test]
+fn build_rejects_a_non_finite_csv_row() {
+    let dir = own_dir("build_inf");
+    let csv = dir.join("vectors.csv");
+    std::fs::write(&csv, "0.1,0.2\n0.3,inf\n").unwrap();
+    assert_rejects_non_finite(
+        hyt()
+            .args(["build", "--input"])
+            .arg(&csv)
+            .arg("--index")
+            .arg(dir.join("db.pages"))
+            .arg("--meta")
+            .arg(dir.join("db.meta")),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn knn_rejects_a_non_finite_query() {
+    let dir = own_dir("knn_nan");
+    let (pages, meta) = small_index(&dir);
+    assert_rejects_non_finite(
+        hyt()
+            .args(["knn", "--index"])
+            .arg(&pages)
+            .arg("--meta")
+            .arg(&meta)
+            .args(["--query", "nan,0.5", "--k", "1"]),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn box_rejects_a_non_finite_corner() {
+    let dir = own_dir("box_nan");
+    let (pages, meta) = small_index(&dir);
+    assert_rejects_non_finite(
+        hyt()
+            .args(["box", "--index"])
+            .arg(&pages)
+            .arg("--meta")
+            .arg(&meta)
+            .args(["--lo", "nan,0", "--hi", "1,1"]),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn batch_rejects_a_non_finite_line() {
+    let dir = own_dir("batch_nan");
+    let (pages, meta) = small_index(&dir);
+    let queries = dir.join("batch.txt");
+    std::fs::write(&queries, "knn 0.1,0.2 1\nknn 0.1,nan 3\n").unwrap();
+    assert_rejects_non_finite(
+        hyt()
+            .args(["batch", "--index"])
+            .arg(&pages)
+            .arg("--meta")
+            .arg(&meta)
+            .arg("--queries")
+            .arg(&queries),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -4,13 +4,16 @@
 //! are the code paths that face bytes straight off a disk that may have
 //! been torn, rotted, or overwritten by another program.
 
-use hybridtree_repro::core::{scrub_index, ElsTable, HybridTree, HybridTreeConfig, KdTree, Node};
+use hybridtree_repro::core::{
+    scrub_index, ElsTable, HybridTree, HybridTreeConfig, KdTree, Node, NodeView,
+};
 use hybridtree_repro::geom::Point;
 use hybridtree_repro::index::MultidimIndex;
 use hybridtree_repro::page::{
     crc32, inspect_frame, inspect_header, ByteReader, DurableStorage, FrameStatus, PageError,
     FRAME_HEADER_BYTES,
 };
+use hybridtree_repro::srtree::SrNode;
 use proptest::prelude::*;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -106,6 +109,84 @@ proptest! {
             }
             FrameStatus::Free | FrameStatus::Corrupt(_) => {}
         }
+    }
+}
+
+/// Coordinate bit patterns that reach every branch of a leaf decoder:
+/// ordinary values, any bits at all, NaNs of either sign and any
+/// payload, both infinities, and subnormals.
+fn coord_bits() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        6 => (0u32..1000).prop_map(|i| (i as f32 / 1000.0).to_bits()),
+        3 => 0u32..u32::MAX,
+        1 => (0x7f80_0001u32..0x8000_0000, 0u32..2).prop_map(|(b, sign)| b | (sign << 31)),
+        1 => Just(f32::INFINITY.to_bits()),
+        1 => Just(f32::NEG_INFINITY.to_bits()),
+        2 => (1u32..0x0080_0000, 0u32..2).prop_map(|(b, sign)| b | (sign << 31)),
+    ]
+}
+
+/// A data page of the hybrid and SR-tree formats (tag 0, row count,
+/// rows) whose rows hold `bits` as coordinates, `dim` per row.
+fn leaf_page(dim: usize, bits: &[u32]) -> Vec<u8> {
+    let mut page = vec![0u8];
+    page.extend_from_slice(&((bits.len() / dim) as u32).to_le_bytes());
+    for (oid, row) in bits.chunks_exact(dim).enumerate() {
+        for b in row {
+            page.extend_from_slice(&b.to_le_bytes());
+        }
+        page.extend_from_slice(&(oid as u64).to_le_bytes());
+    }
+    page
+}
+
+proptest! {
+    // Leaf pages with arbitrary coordinate bits: a page whose
+    // coordinates are all finite decodes to exactly those bits; any
+    // non-finite coordinate makes the page Corrupt. Never a panic, on
+    // the decoders and on the in-place view.
+    #[test]
+    fn leaf_decode_maps_non_finite_coordinates_to_corrupt(
+        dim in 1usize..9,
+        rows in 1usize..6,
+        bits in proptest::collection::vec(coord_bits(), 40),
+    ) {
+        let bits = &bits[..dim * rows];
+        let page = leaf_page(dim, bits);
+        let finite = bits.iter().all(|&b| f32::from_bits(b).is_finite());
+        let decoded: Vec<Result<Vec<Vec<u32>>, PageError>> = vec![
+            Node::decode(&page, dim).map(|n| {
+                n.expect_data()
+                    .iter()
+                    .map(|e| e.point.coords().iter().map(|c| c.to_bits()).collect())
+                    .collect()
+            }),
+            SrNode::decode(&page, dim).map(|n| match n {
+                SrNode::Data(rows) => rows
+                    .iter()
+                    .map(|(p, _)| p.coords().iter().map(|c| c.to_bits()).collect())
+                    .collect(),
+                SrNode::Index { .. } => Vec::new(),
+            }),
+        ];
+        for got in decoded {
+            match got {
+                Ok(rows) => {
+                    prop_assert!(finite, "a non-finite coordinate decoded");
+                    let want: Vec<Vec<u32>> = bits.chunks_exact(dim).map(<[u32]>::to_vec).collect();
+                    prop_assert_eq!(rows, want);
+                }
+                Err(PageError::Corrupt(_)) => prop_assert!(!finite, "finite rows rejected"),
+                Err(e) => prop_assert!(false, "not Corrupt: {}", e),
+            }
+        }
+        let Ok(NodeView::Data(view)) = NodeView::parse(&page, dim) else {
+            panic!("a well-sized leaf page parses as data");
+        };
+        prop_assert_eq!(view.len(), rows);
+        let mut out = Vec::new();
+        view.filter_box(&hybridtree_repro::geom::Rect::unit(dim), &mut out);
+        view.filter_point(&Point::new(vec![0.5; dim]), &mut out);
     }
 }
 
